@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the project-invariant analyzers (cmd/dcnrlint): the
-# per-package checks (simdeterminism, heaplock, obsnilsafe, errchecklite)
+# per-package checks (simdeterminism, obsnilsafe, errchecklite)
 # plus the inter-procedural module checks (simtaint, lockflow), with
 # per-analyzer wall timings on stderr, and fails on any unformatted file.
 lint:

@@ -162,6 +162,48 @@ func TestDaemonLoadsDataset(t *testing.T) {
 	}
 }
 
+// TestDaemonETagDiffersAcrossDatasets pins the revalidation contract
+// across datasets: two daemons simulated from different seeds hold
+// different data at the same generation, so they must never share an
+// ETag, and one daemon's tag must not earn a 304 from the other.
+func TestDaemonETagDiffersAcrossDatasets(t *testing.T) {
+	const path = "/query/count?year=2017"
+	query := func(addr, ifNoneMatch string) (*http.Response, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, "http://"+addr+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		return resp, string(body)
+	}
+	addr1, _ := startTestDaemon(t, options{shards: 2, cache: 16, simulate: true, seed: 1, scale: 1})
+	addr2, _ := startTestDaemon(t, options{shards: 2, cache: 16, simulate: true, seed: 2, scale: 1})
+	r1, body1 := query(addr1, "")
+	r2, body2 := query(addr2, "")
+	if body1 == body2 {
+		t.Fatalf("seeds 1 and 2 gave the same answer %s; the test needs different data", body1)
+	}
+	etag1, etag2 := r1.Header.Get("ETag"), r2.Header.Get("ETag")
+	if etag1 == "" || etag1 == etag2 {
+		t.Errorf("daemons with different data share ETag %q", etag1)
+	}
+	if resp, body := query(addr2, etag1); resp.StatusCode != http.StatusOK || body != body2 {
+		t.Errorf("seed-1 ETag replayed to the seed-2 daemon: %d %s, want 200 %s", resp.StatusCode, body, body2)
+	}
+	if resp, _ := query(addr1, etag1); resp.StatusCode != http.StatusNotModified {
+		t.Errorf("own ETag revalidation: %d, want 304", resp.StatusCode)
+	}
+}
+
 // TestDaemonFlagConflict pins the -sevs/-simulate exclusivity error.
 func TestDaemonFlagConflict(t *testing.T) {
 	var out syncBuffer

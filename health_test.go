@@ -28,10 +28,8 @@ func TestHealthEngineElevatedScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := SimulateIntraDC(IntraConfig{
+		Observe:       Observe{Metrics: reg, Health: eng, Logger: slog.New(h)},
 		Seed:          7,
-		Metrics:       reg,
-		Health:        eng,
-		Logger:        slog.New(h),
 		ElevateYear:   2014,
 		ElevateFactor: 5,
 	})
@@ -160,7 +158,7 @@ func TestHealthEngineCalibratedRunStaysQuiet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SimulateIntraDC(IntraConfig{Seed: seed, Health: eng}); err != nil {
+		if _, err := SimulateIntraDC(IntraConfig{Observe: Observe{Health: eng}, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		rep := eng.Report()
@@ -210,7 +208,7 @@ func TestSLOReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateIntraDC(IntraConfig{Seed: 2, FromYear: 2016, ToYear: 2017, Health: eng}); err != nil {
+	if _, err := SimulateIntraDC(IntraConfig{Observe: Observe{Health: eng}, Seed: 2, FromYear: 2016, ToYear: 2017}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

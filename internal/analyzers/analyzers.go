@@ -11,12 +11,16 @@
 //
 //   - simdeterminism: simulation packages must not read the wall clock or
 //     math/rand, and must not emit map-iteration-ordered output.
-//   - heaplock: des.Simulator mutations on a mutex-owning struct must
-//     happen with the mutex held (the PR-2 race class).
 //   - obsnilsafe: obs metrics must be wired through the nil-safe Registry,
 //     never constructed or copied by value.
 //   - errchecklite: I/O-shaped error returns (ReadJSON, serve loops, file
 //     and network calls) must not be silently discarded.
+//
+// The inter-procedural module analyzers (module.go) cover what one
+// package at a time cannot: lockflow checks that des.Simulator mutations
+// on a mutex-owning struct are reached only with the mutex held (the
+// remediation Engine.Submit race class), and simtaint follows wall-clock and map-order values into
+// deterministic outputs.
 //
 // The suite is standard library only: go/parser + go/types + go/importer,
 // with package discovery and export data supplied by `go list`. Findings
@@ -63,7 +67,7 @@ type Analyzer struct {
 }
 
 // All is the analyzer catalog, in the order the driver runs them.
-var All = []*Analyzer{SimDeterminism, HeapLock, ObsNilSafe, ErrCheckLite}
+var All = []*Analyzer{SimDeterminism, ObsNilSafe, ErrCheckLite}
 
 // ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {

@@ -128,24 +128,6 @@ func TestSimDeterminismGoodFixture(t *testing.T) {
 	assertDiags(t, pkg.Analyze([]*Analyzer{SimDeterminism}), nil)
 }
 
-func TestHeapLockBadFixture(t *testing.T) {
-	pkg := loadFixture(t, "heaplock/bad")
-	diags := pkg.Analyze([]*Analyzer{HeapLock})
-	assertDiags(t, diags, []string{
-		"bad.go:22:2 heaplock", // sim.After before Lock
-		"bad.go:33:2 heaplock", // sim.Run after Unlock
-		"bad.go:39:2 heaplock", // sim.Reset without the lock
-	})
-	if !diagsMention(diags, "des.Simulator.After") || !diagsMention(diags, "des.Simulator.Run") {
-		t.Errorf("diagnostics should name the mutating method: %q", diagKeys(diags))
-	}
-}
-
-func TestHeapLockGoodFixture(t *testing.T) {
-	pkg := loadFixture(t, "heaplock/good")
-	assertDiags(t, pkg.Analyze([]*Analyzer{HeapLock}), nil)
-}
-
 func TestObsNilSafeBadFixture(t *testing.T) {
 	pkg := loadFixture(t, "obsnilsafe/bad")
 	diags := pkg.Analyze([]*Analyzer{ObsNilSafe})

@@ -6,14 +6,20 @@ import (
 	"strings"
 )
 
-// LockFlow is the inter-procedural successor of heaplock. heaplock checks
-// each method of a mutex+simulator struct in isolation, so a mutation
-// moved into a helper method — annotated "//lint:allow heaplock caller
-// holds mu" — drops out of its view entirely; whether every caller really
-// holds the mutex goes unverified. LockFlow verifies it: a must-hold
-// dataflow over each guarded method's CFG learns the lock state at every
-// statement, and a fixpoint over the call graph propagates "this method
-// can be entered with the mutex NOT held" (exported methods are unlocked
+// LockFlow targets the race class once fixed in the remediation engine: a
+// struct that owns both a mutex and a *des.Simulator (the
+// remediation.Engine shape) mutated the simulator's event heap outside
+// the mutex, so concurrent Submit calls corrupted the heap. The des kernel
+// is deliberately unsynchronized — any type that shares a simulator
+// across goroutines owns the locking.
+//
+// A per-method check sees a mutation before Lock or after Unlock in the
+// same method, but a mutation moved into a helper documented "caller
+// holds mu" drops out of its view; whether every caller really holds the
+// mutex goes unverified. LockFlow verifies it: a must-hold dataflow over
+// each guarded method's CFG learns the lock state at every statement, and
+// a fixpoint over the call graph propagates "this method can be entered
+// with the mutex NOT held" (exported methods are unlocked
 // entry points by convention; unexported ones inherit it from non-closure
 // call sites where the caller had not locked). A heap mutation is
 // reported only when an unlocked path actually reaches it — with the
@@ -29,8 +35,8 @@ import (
 // mutex must hold it around them. Plain functions driving a resource
 // single-threaded (setup code, the sweep runner) are out of scope.
 // Mutations are matched type-wise on ANY expression of a guarded type, so
-// `sim := e.sim; sim.After(...)` is seen where heaplock's receiver-field
-// syntax match is not. Function literals run inside the single-threaded
+// `sim := e.sim; sim.After(...)` is seen where a receiver-field syntax
+// match is not. Function literals run inside the single-threaded
 // DES event loop: call sites inside closures do not transmit unlocked
 // reachability, and a helper called only from closures is exempt.
 var LockFlow = &ModuleAnalyzer{
@@ -41,15 +47,28 @@ var LockFlow = &ModuleAnalyzer{
 point (exported methods, by convention) to a resource mutation — a des
 heap mutation (Schedule/After/Cancel/Every/Run/Step/Halt/Reset) or a
 serve lifecycle call (Register/Start), on ANY expression of the guarded
-type, aliases included — must acquire the mutex along the way. Unlike
-heaplock, which checks one method at a time, lockflow follows calls
-between methods: a helper annotated "caller holds mu" is verified against
+type, aliases included — must acquire the mutex along the way. lockflow
+follows calls between methods: a helper documented "caller holds mu" is
+verified against
 its actual callers and reported with the unlocked caller chain if the
 claim is false. Call sites inside function literals are exempt (they run
-on the single-threaded DES event loop).
+on the single-threaded DES event loop). The one-method case — a mutation
+before Lock or after Unlock in the same method — is the degenerate path.
 Example fixture: internal/analyzers/testdata/src/lockflow/bad/bad.go`,
 	Run: runLockFlow,
 }
+
+// heapMutators are the des.Simulator methods that touch the event heap or
+// clock and are therefore unsafe to call concurrently. Reset joined the
+// set with the pooled free-list kernel: it recycles every node, so a
+// racing Reset corrupts not just the heap but the pool's generation
+// counters.
+var heapMutators = map[string]bool{
+	"Schedule": true, "After": true, "Cancel": true, "Every": true,
+	"Run": true, "Step": true, "Halt": true, "Reset": true,
+}
+
+const desPath = "dcnr/internal/des"
 
 // serveMutators are the serve.Server methods confined to the single-
 // goroutine construction phase: Register appends to an unsynchronized
@@ -89,7 +108,7 @@ type lockSite struct {
 // lockInfo is one guarded method's lockflow summary.
 type lockInfo struct {
 	node      *CGNode
-	guarded   *lockedSimType
+	guarded   *lockedResType
 	mutexName string
 	recvName  string
 	sites     []lockSite
@@ -106,7 +125,7 @@ func runLockFlow(pass *ModulePass) error {
 	m := pass.Mod
 	g := m.Graph()
 
-	guarded := make(map[*types.TypeName]*lockedSimType)
+	guarded := make(map[*types.TypeName]*lockedResType)
 	for _, pkg := range m.Pkgs {
 		for _, t := range findLockedResTypes(pkg.Types) {
 			guarded[t.named.Obj()] = t
@@ -174,7 +193,7 @@ func runLockFlow(pass *ModulePass) error {
 // analyzeLockMethod computes one guarded method's mutation sites and
 // per-call-edge lock state via the must-hold dataflow, or returns nil for
 // functions that are not guarded-type methods.
-func analyzeLockMethod(n *CGNode, guarded map[*types.TypeName]*lockedSimType) *lockInfo {
+func analyzeLockMethod(n *CGNode, guarded map[*types.TypeName]*lockedResType) *lockInfo {
 	info := n.Pkg.Info
 	if n.Decl.Recv == nil || len(n.Decl.Recv.List) != 1 || len(n.Decl.Recv.List[0].Names) == 0 {
 		return nil
@@ -269,7 +288,7 @@ func (li *lockInfo) transferNode(nd ast.Node, held bool, visit func(*ast.CallExp
 
 // resMutatorCall matches a call of a guarded-kind mutator on any
 // expression of the guarded type — the receiver field, a local alias, a
-// parameter — unlike heaplock's stricter recv.field.method syntax.
+// parameter — not just the recv.field.method syntax.
 func resMutatorCall(info *types.Info, call *ast.CallExpr) (*resourceKind, string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -297,11 +316,18 @@ func resMutatorCall(info *types.Info, call *ast.CallExpr) (*resourceKind, string
 	return nil, "", false
 }
 
+// lockedResType describes one struct owning both a mutex and a guarded
+// resource.
+type lockedResType struct {
+	named     *types.Named
+	mutexes   map[string]bool // field names of sync.Mutex/RWMutex type
+	resFields map[string]bool // field names of a guarded resource pointer type
+}
+
 // findLockedResTypes scans the package scope for struct types declaring
-// both a mutex field and a guarded-resource pointer field — lockflow's
-// wider analogue of findLockedSimTypes (heaplock stays des-only).
-func findLockedResTypes(pkg *types.Package) []*lockedSimType {
-	var out []*lockedSimType
+// both a mutex field and a guarded-resource pointer field.
+func findLockedResTypes(pkg *types.Package) []*lockedResType {
+	var out []*lockedResType
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -316,17 +342,17 @@ func findLockedResTypes(pkg *types.Package) []*lockedSimType {
 		if !ok {
 			continue
 		}
-		t := &lockedSimType{named: named, mutexes: map[string]bool{}, simFields: map[string]bool{}}
+		t := &lockedResType{named: named, mutexes: map[string]bool{}, resFields: map[string]bool{}}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			if isMutexType(f.Type()) {
 				t.mutexes[f.Name()] = true
 			}
 			if isGuardedResPtr(f.Type()) {
-				t.simFields[f.Name()] = true
+				t.resFields[f.Name()] = true
 			}
 		}
-		if len(t.mutexes) > 0 && len(t.simFields) > 0 {
+		if len(t.mutexes) > 0 && len(t.resFields) > 0 {
 			out = append(out, t)
 		}
 	}
@@ -351,4 +377,54 @@ func isGuardedResPtr(t types.Type) bool {
 		}
 	}
 	return false
+}
+
+func isMutexType(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+		return false
+	}
+	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
+}
+
+func baseNamed(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// recvFieldCall matches calls of the form <recv>.<field>.<method>(...) and
+// returns the field and method names.
+func recvFieldCall(call *ast.CallExpr, recvName string) (field, method string, ok bool) {
+	sel, okSel := call.Fun.(*ast.SelectorExpr)
+	if !okSel {
+		return "", "", false
+	}
+	inner, okSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !okSel {
+		return "", "", false
+	}
+	id, okSel := ast.Unparen(inner.X).(*ast.Ident)
+	if !okSel || id.Name != recvName {
+		return "", "", false
+	}
+	return inner.Sel.Name, sel.Sel.Name, true
+}
+
+func firstKey(m map[string]bool) string {
+	best := ""
+	for k := range m {
+		if best == "" || k < best {
+			best = k
+		}
+	}
+	return best
 }

@@ -55,12 +55,9 @@ func TestSimTaintRegression(t *testing.T) {
 }
 
 func TestLockFlowBadFixture(t *testing.T) {
-	// heaplock sees nothing here: the helper carries an allow directive,
-	// the alias defeats the syntax match, and the conditional lock fools
-	// the lexical scan.
-	pkg := loadFixture(t, "lockflow/bad")
-	assertDiags(t, pkg.Analyze([]*Analyzer{HeapLock}), nil)
-
+	// A per-method lexical check sees nothing here: the helper claims its
+	// caller locks, the alias defeats the syntax match, and the
+	// conditional lock fools the lexical scan.
 	diags := moduleDiags(t, "lockflow/bad", []*ModuleAnalyzer{LockFlow})
 	assertDiags(t, diags, []string{
 		"bad.go:30:2 lockflow",       // helperB, reached via Submit -> helperA
@@ -80,23 +77,57 @@ func TestLockFlowBadFixture(t *testing.T) {
 	}
 }
 
+// TestHeapLockBadFixture covers the single-method heap-lock cases: a
+// mutation before Lock, after Unlock, and a Reset with no lock at all,
+// each an unlocked path of length one that lockflow must flag.
+func TestHeapLockBadFixture(t *testing.T) {
+	diags := moduleDiags(t, "lockflow/local_bad", []*ModuleAnalyzer{LockFlow})
+	assertDiags(t, diags, []string{
+		"bad.go:22:2 lockflow", // sim.After before Lock
+		"bad.go:33:2 lockflow", // sim.Run after Unlock
+		"bad.go:39:2 lockflow", // sim.Reset without the lock
+	})
+	if !diagsMention(diags, "des.Simulator.After") || !diagsMention(diags, "des.Simulator.Run") ||
+		!diagsMention(diags, "des.Simulator.Reset") {
+		t.Errorf("diagnostics should name the mutating method: %q", diagKeys(diags))
+	}
+}
+
 func TestLockFlowGoodFixture(t *testing.T) {
 	assertDiags(t, moduleDiags(t, "lockflow/good", []*ModuleAnalyzer{LockFlow}), nil)
 }
 
-// TestLockFlowRegression reintroduces the exact PR-2 Engine.Submit race
-// two calls deep: heaplock is blind (per-method + allow directive);
-// lockflow names the unlocked path.
-func TestLockFlowRegression(t *testing.T) {
-	pkg := loadFixture(t, "lockflow/regression")
-	assertDiags(t, pkg.Analyze([]*Analyzer{HeapLock}), nil)
+// TestHeapLockGoodFixture pins single-method discipline as clean: deferred
+// and explicit unlocks around the mutations, plus an uncalled "caller
+// holds mu" helper.
+func TestHeapLockGoodFixture(t *testing.T) {
+	assertDiags(t, moduleDiags(t, "lockflow/local_good", []*ModuleAnalyzer{LockFlow}), nil)
+}
 
+// TestLockFlowRegression reintroduces the old Engine.Submit race two
+// calls deep behind a "caller holds mu" helper; lockflow names the
+// unlocked path. The dynamic counterpart is
+// remediation.TestStatsConsistentUnderConcurrentSubmit, which the tier-1
+// gate runs under the race detector.
+func TestLockFlowRegression(t *testing.T) {
 	diags := moduleDiags(t, "lockflow/regression", []*ModuleAnalyzer{LockFlow})
 	assertDiags(t, diags, []string{
 		"regression.go:35:2 lockflow",
 	})
 	if !diagsMention(diags, "Submit -> schedule -> enqueue") {
 		t.Errorf("the diagnostic should carry the Submit -> schedule -> enqueue path: %q", diagKeys(diags))
+	}
+}
+
+// TestHeapLockRegressionFixtureFlagged reintroduces the same race in its
+// original one-method shape: the heap mutated right after mu.Unlock.
+func TestHeapLockRegressionFixtureFlagged(t *testing.T) {
+	diags := moduleDiags(t, "lockflow/local_regression", []*ModuleAnalyzer{LockFlow})
+	assertDiags(t, diags, []string{
+		"regression.go:30:2 lockflow", // sim.After after mu.Unlock — the original bug
+	})
+	if !diagsMention(diags, "corrupts the event heap") {
+		t.Errorf("diagnostic should explain the race: %q", diagKeys(diags))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package bad exercises lockflow: DES heap mutations reachable over
-// unlocked call paths that per-method heaplock cannot see.
+// unlocked call paths that a per-method lexical check cannot see.
 package bad
 
 import (
@@ -23,14 +23,14 @@ func (e *Engine) helperA(h float64) {
 	e.helperB(h)
 }
 
-// helperB claims its callers lock — the directive silences heaplock, but
+// helperB claims its callers lock — a per-method check must trust that, but
 // lockflow checks the claim against the actual call graph and finds the
 // Submit -> helperA -> helperB path holds nothing.
 func (e *Engine) helperB(h float64) {
-	e.sim.After(h, nil) //lint:allow heaplock caller holds mu
+	e.sim.After(h, nil) // caller holds mu
 }
 
-// Alias defeats heaplock's recv.field.method syntax match entirely:
+// Alias defeats a recv.field.method syntax match entirely:
 // the mutation happens through a local copy of the simulator pointer.
 func (e *Engine) Alias(h float64) {
 	sim := e.sim
@@ -38,7 +38,7 @@ func (e *Engine) Alias(h float64) {
 }
 
 // Maybe locks only on one branch; the must-hold join proves the lock is
-// not guaranteed at the mutation. heaplock's lexical scan is fooled by
+// not guaranteed at the mutation. A lexical scan is fooled by
 // the earlier Lock.
 func (e *Engine) Maybe(h float64, lock bool) {
 	if lock {

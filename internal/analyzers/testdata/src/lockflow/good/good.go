@@ -14,8 +14,8 @@ type Engine struct {
 }
 
 // Submit locks at the entry point; the helper's "caller holds mu" claim
-// is true for every caller, so lockflow stays silent where heaplock
-// needed the directive.
+// is true for every caller, so lockflow stays silent without any
+// directive.
 func (e *Engine) Submit(h float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -30,7 +30,7 @@ func (e *Engine) Resubmit(h float64) {
 }
 
 func (e *Engine) submitLocked(h float64) {
-	e.sim.After(h, nil) //lint:allow heaplock caller holds mu
+	e.sim.After(h, nil) // caller holds mu
 }
 
 // Arm schedules a periodic handler; the closure body runs on the
@@ -46,5 +46,5 @@ func (e *Engine) Arm(h float64) {
 
 // tick is called only from the event-loop closure: exempt by convention.
 func (e *Engine) tick(now float64) {
-	e.sim.After(1, nil) //lint:allow heaplock event-loop context
+	e.sim.After(1, nil) // event-loop context
 }

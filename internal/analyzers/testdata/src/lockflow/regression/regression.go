@@ -2,9 +2,9 @@
 // exact PR-2 Engine.Submit race, reintroduced two calls deep. Submit
 // takes the mutex for its own bookkeeping, releases it, and only then
 // walks into a helper chain that mutates the DES heap — the helper's
-// "//lint:allow heaplock caller holds mu" annotation makes the old
-// per-method analyzer report NOTHING in this package. The driver test
-// asserts heaplock finds 0 and lockflow finds exactly 1, naming the
+// "caller holds mu" comment is what a per-method check would have to
+// trust, so it would report NOTHING in this package. The lockflow test
+// asserts lockflow finds exactly 1, naming the
 // Submit -> schedule -> enqueue path.
 package regression
 
@@ -32,5 +32,5 @@ func (e *Engine) schedule(at float64) {
 }
 
 func (e *Engine) enqueue(at float64) {
-	e.sim.Schedule(at, nil) //lint:allow heaplock caller holds mu
+	e.sim.Schedule(at, nil) // caller holds mu
 }

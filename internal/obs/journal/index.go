@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -62,6 +63,13 @@ func Names(dev, class, sev []string) nameTables {
 // index. Enum names are interned in first-appearance order, so summaries
 // carry the original names. Lines without an "id" field (such as the
 // per-run header lines a sweep campaign stream interleaves) are skipped.
+//
+// Every accepted stream writes back out as valid JSONL that re-reads to
+// the same records, so ReadJSONL rejects, with a line-numbered error, the
+// two shapes the encoder cannot write back: an enum name that is not
+// plain JSON-safe text (empty, or holding a quote, backslash, or control
+// character), and more distinct names than the record field holds (256
+// device names, 128 fault classes or severities).
 func ReadJSONL(r io.Reader) (*Index, error) {
 	var (
 		recs  []Record
@@ -107,14 +115,26 @@ func ReadJSONL(r io.Reader) (*Index, error) {
 		rec := Record{
 			ID: ID(jr.ID), Parent: ID(jr.Parent), Kind: k,
 			Time: jr.T, Aux: jr.Aux, Ref: jr.Ref,
-			Dev:   intern8(&names.dev, dev, jr.Dev),
 			Class: -1, Sev: -1,
 		}
+		d, err := intern(&names.dev, dev, jr.Dev, math.MaxUint8+1)
+		if err != nil {
+			return nil, fmt.Errorf("journal: line %d: dev: %w", line, err)
+		}
+		rec.Dev = d
 		if jr.Class != nil {
-			rec.Class = int8(intern8(&names.class, class, *jr.Class))
+			c, err := intern(&names.class, class, *jr.Class, math.MaxInt8+1)
+			if err != nil {
+				return nil, fmt.Errorf("journal: line %d: class: %w", line, err)
+			}
+			rec.Class = int8(c)
 		}
 		if jr.Sev != nil {
-			rec.Sev = int8(intern8(&names.sev, sevs, *jr.Sev))
+			v, err := intern(&names.sev, sevs, *jr.Sev, math.MaxInt8+1)
+			if err != nil {
+				return nil, fmt.Errorf("journal: line %d: sev: %w", line, err)
+			}
+			rec.Sev = int8(v)
 		}
 		recs = append(recs, rec)
 	}
@@ -124,16 +144,37 @@ func ReadJSONL(r io.Reader) (*Index, error) {
 	return NewIndex(recs, names), nil
 }
 
-// intern8 maps name to a stable small ordinal, growing the table on first
-// sight.
-func intern8(table *[]string, seen map[string]uint8, name string) uint8 {
+// intern maps name to a stable small ordinal, growing the table on first
+// sight. It rejects a name the encoder cannot write back verbatim and a
+// table that would outgrow limit entries.
+func intern(table *[]string, seen map[string]uint8, name string, limit int) (uint8, error) {
 	if i, ok := seen[name]; ok {
-		return i
+		return i, nil
+	}
+	if !plainName(name) {
+		return 0, fmt.Errorf("name %q is not plain JSON-safe text", name)
+	}
+	if len(*table) >= limit {
+		return 0, fmt.Errorf("more than %d distinct names", limit)
 	}
 	i := uint8(len(*table))
 	*table = append(*table, name)
 	seen[name] = i
-	return i
+	return i, nil
+}
+
+// plainName reports whether name is non-empty and free of the quotes,
+// backslashes, and control characters the encoder would have to escape.
+func plainName(name string) bool {
+	if name == "" {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c < 0x20 || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteJSONL writes the indexed records as one JSON object per line, in

@@ -2,9 +2,12 @@ package journal
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"dcnr/internal/obs"
 )
 
 // chainRecords journals one complete automated-repair chain and one
@@ -77,12 +80,12 @@ func TestIDsAreDenseAndOrdered(t *testing.T) {
 func TestAutoFlushAtBatchFull(t *testing.T) {
 	j := New()
 	l := j.Lane("hot")
-	for i := 0; i < laneBatch; i++ {
+	for i := 0; i < obs.StageBatch; i++ {
 		l.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
 	}
 	// No explicit Flush: a full staging buffer must have published itself.
-	if got := j.Len(); got != laneBatch {
-		t.Fatalf("flushed %d records after %d Records, want auto-flush", got, laneBatch)
+	if got := j.Len(); got != obs.StageBatch {
+		t.Fatalf("flushed %d records after %d Records, want auto-flush", got, obs.StageBatch)
 	}
 }
 
@@ -232,7 +235,7 @@ func TestMergeSummaries(t *testing.T) {
 func TestConcurrentReadersSeeFlushedPrefix(t *testing.T) {
 	j := New()
 	l := j.Lane("hot")
-	const total = laneBatch * 8
+	const total = obs.StageBatch * 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -284,5 +287,49 @@ func BenchmarkNilLaneRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.Record(Record{Kind: FaultRaised, Time: float64(i)})
+	}
+}
+
+// TestReadJSONLRejectsUnwritableNames pins the first fuzz finding: a name
+// the encoder would emit unescaped — here a quote — used to be accepted
+// and re-encoded as invalid JSON. It is now rejected with its line.
+func TestReadJSONLRejectsUnwritableNames(t *testing.T) {
+	for _, bad := range []string{`a\"b`, `a\\b`, `a\nb`, ``} {
+		in := `{"id":1,"kind":"fault_raised","t":0,"dev":"RSW"}` + "\n" +
+			`{"id":2,"kind":"fault_raised","t":0,"dev":"` + bad + `"}` + "\n"
+		_, err := ReadJSONL(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2: dev") {
+			t.Errorf("dev %s: err = %v, want a line 2 dev error", bad, err)
+		}
+	}
+}
+
+// TestReadJSONLRejectsOverfullTables pins the second fuzz finding: the
+// 257th distinct device name used to wrap the uint8 ordinal and silently
+// become the first name (class and sev wrapped at 128 through int8).
+func TestReadJSONLRejectsOverfullTables(t *testing.T) {
+	stream := func(n int, field string) string {
+		var b strings.Builder
+		dev := `,"dev":"RSW"`
+		if field == "dev" {
+			dev = ""
+		}
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `{"id":%d,"kind":"fault_raised","t":0%s,"%s":"n%d"}`+"\n", i+1, dev, field, i)
+		}
+		return b.String()
+	}
+	for _, c := range []struct {
+		field string
+		limit int
+	}{{"dev", 256}, {"class", 128}, {"sev", 128}} {
+		if _, err := ReadJSONL(strings.NewReader(stream(c.limit, c.field))); err != nil {
+			t.Errorf("%d distinct %s names: %v", c.limit, c.field, err)
+		}
+		_, err := ReadJSONL(strings.NewReader(stream(c.limit+1, c.field)))
+		want := fmt.Sprintf("line %d: %s: more than %d distinct names", c.limit+1, c.field, c.limit)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d distinct %s names: err = %v, want %q", c.limit+1, c.field, err, want)
+		}
 	}
 }

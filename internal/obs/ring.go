@@ -2,14 +2,13 @@ package obs
 
 import (
 	"strconv"
-	"sync"
 	"time"
 )
 
 // SpanRing is a batched span recorder for instrumented hot loops: a
-// fixed-size staging buffer of compact, allocation-free records that is
-// flushed into the owning Tracer in batches, so the hot path never builds
-// an args map and takes the tracer lock only once per ringBatch records.
+// Stage of compact, allocation-free records that is flushed into the
+// owning Tracer in batches, so the hot path never builds an args map and
+// takes a lock only once per StageBatch records.
 //
 // A ring is SINGLE-WRITER: exactly one goroutine may call Record /
 // RecordWall / Flush at a time (callers that share a ring across
@@ -25,8 +24,9 @@ import (
 // args that are constant across the ring (a device type, a lane label) go
 // in ConstArgs once instead of per record.
 //
-// All methods are safe on a nil *SpanRing, so call sites can hold an
-// unconditional ring field that is nil when tracing is off.
+// Record, RecordWall, Flush, SetNames, and SetConstArg are safe on a nil
+// *SpanRing, so call sites can hold an unconditional ring field that is
+// nil when tracing is off.
 type SpanRing struct {
 	t        *Tracer
 	pid, tid int
@@ -42,29 +42,14 @@ type SpanRing struct {
 	// constArgs are (key, value) pairs attached to every record.
 	constArgs [][2]string
 
-	buf [ringBatch]spanRec // staging buffer, single-writer
-	n   int
-
-	// flushed holds published records as immutable blocks of at most
-	// ringBatch records: Flush appends one freshly-copied block instead of
-	// growing a single flat slice, so publishing never re-copies earlier
-	// records (a flat append spent more memory bandwidth on growslice
-	// copies than the simulation spent producing the records).
-	mu      sync.Mutex
-	flushed [][]spanRec
-	total   int
+	Stage[spanRec]
 }
 
-const (
-	// ringBatch is the staging-buffer size: one tracer-lock acquisition
-	// per this many records.
-	ringBatch = 512
-	// ringArgs is the per-record numeric arg capacity.
-	ringArgs = 3
-)
+// ringArgs is the per-record numeric arg capacity.
+const ringArgs = 3
 
 // spanRec is one compact span record: 48 bytes, no pointers, so a full
-// staging buffer is a single 24 KiB GC-free block.
+// staging buffer is a single 12 KiB GC-free block.
 type spanRec struct {
 	name int32 // index into SpanRing.names; -1 = ring default name
 	ts   float64
@@ -123,9 +108,7 @@ func (r *SpanRing) Record(name int32, ts, dur, a0, a1, a2 float64) {
 	if r == nil {
 		return
 	}
-	r.buf[r.n] = spanRec{name: name, ts: ts, dur: dur, args: [ringArgs]float64{a0, a1, a2}}
-	r.n++
-	if r.n == ringBatch {
+	if r.Add(spanRec{name: name, ts: ts, dur: dur, args: [ringArgs]float64{a0, a1, a2}}) {
 		r.Flush()
 	}
 }
@@ -144,18 +127,12 @@ func (r *SpanRing) RecordWall(name int32, start time.Time, wall time.Duration, a
 }
 
 // Flush publishes the staged records to readers. Only the writer may call
-// it; it takes the tracer-side lock once for the whole batch.
+// it.
 func (r *SpanRing) Flush() {
-	if r == nil || r.n == 0 {
+	if r == nil {
 		return
 	}
-	blk := make([]spanRec, r.n)
-	copy(blk, r.buf[:r.n])
-	r.mu.Lock()
-	r.flushed = append(r.flushed, blk)
-	r.total += r.n
-	r.mu.Unlock()
-	r.n = 0
+	r.Stage.Flush()
 }
 
 // recName resolves a record's span name.
@@ -166,19 +143,11 @@ func (r *SpanRing) recName(rec spanRec) string {
 	return r.name
 }
 
-// blocks returns the flushed record blocks. The blocks themselves are
-// immutable once published, so only the block list is copied.
-func (r *SpanRing) blocks() [][]spanRec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([][]spanRec(nil), r.flushed...)
-}
-
 // materialize converts the flushed records to regular Events (args maps
 // included) — the compatibility path behind Tracer.Events.
 func (r *SpanRing) materialize() []Event {
 	var recs []spanRec
-	for _, blk := range r.blocks() {
+	for _, blk := range r.Blocks() {
 		recs = append(recs, blk...)
 	}
 	out := make([]Event, 0, len(recs))
@@ -231,9 +200,9 @@ func (r *SpanRing) appendJSONRecs(b []byte, recs []spanRec) []byte {
 		b = append(b, `,{"name":"`...)
 		b = append(b, r.recName(rec)...)
 		b = append(b, mid...)
-		b = appendTraceFloat(b, rec.ts)
+		b = AppendFixed(b, rec.ts, traceDigits)
 		b = append(b, `,"dur":`...)
-		b = appendTraceFloat(b, rec.dur)
+		b = AppendFixed(b, rec.dur, traceDigits)
 		b = append(b, tail...)
 		for i, k := range r.keys {
 			if i > 0 {
@@ -242,46 +211,16 @@ func (r *SpanRing) appendJSONRecs(b []byte, recs []spanRec) []byte {
 			b = append(b, '"')
 			b = append(b, k...)
 			b = append(b, `":`...)
-			b = appendTraceFloat(b, rec.args[i])
+			b = AppendFixed(b, rec.args[i], traceDigits)
 		}
 		b = append(b, `}}`...)
 	}
 	return b
 }
 
-// appendTraceFloat formats a trace number compactly: integers without a
-// fraction, everything else with three decimals (nanosecond resolution on
-// microsecond timestamps). Sub-millisecond precision beyond that is below
-// what the viewer renders, and fixed precision keeps a 200k-event file
-// tens of percent smaller than shortest-round-trip formatting.
-//
-// The three-decimal case is hand-rolled integer math: strconv's fixed-
-// precision 'f' path routes large timestamps (a seven-year sim span is
-// ~6e10 µs) through big-decimal conversion, which profiled as the single
-// largest cost of writing a 200k-span trace.
-func appendTraceFloat(b []byte, v float64) []byte {
-	if i := int64(v); float64(i) == v && i > -1e15 && i < 1e15 {
-		return strconv.AppendInt(b, i, 10)
-	}
-	av := v
-	if av < 0 {
-		av = -av
-	}
-	if av < 9e15 { // av*1000+0.5 stays exact in int64; NaN/Inf fall through
-		n := int64(av*1000 + 0.5)
-		if v < 0 {
-			b = append(b, '-')
-		}
-		b = strconv.AppendInt(b, n/1000, 10)
-		f := n % 1000
-		return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
-	}
-	return strconv.AppendFloat(b, v, 'f', 3, 64)
-}
-
-// ringLen returns the number of flushed records.
-func (r *SpanRing) ringLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
+// traceDigits is the fractional precision of trace-event numbers:
+// nanosecond resolution on microsecond timestamps. Finer precision is
+// below what the viewer renders, and a fixed short precision keeps a
+// 200k-event file tens of percent smaller than shortest-round-trip
+// formatting.
+const traceDigits = 3

@@ -8,7 +8,7 @@ import (
 
 // TestSpanRingWraparoundUnderFork pins flushed-block immutability under the
 // dcsim streaming pattern: one writer drives a ring through several
-// staging-buffer wraparounds (auto-flush at ringBatch) while readers
+// staging-buffer wraparounds (auto-flush at StageBatch) while readers
 // repeatedly serialize the same tracer and a forked tracer's writer records
 // concurrently. A mid-run Events snapshot must be a stable prefix of the
 // final trace — if Flush published the staging array instead of a copy,
@@ -18,7 +18,7 @@ func TestSpanRingWraparoundUnderFork(t *testing.T) {
 	tr := NewTracer()
 	ring := tr.Ring(WallPID, 1, "test", "hot", "v").SetNames("even", "odd")
 
-	const total = 3*ringBatch + 17 // several wraparounds plus a partial batch
+	const total = 3*StageBatch + 17 // several wraparounds plus a partial batch
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -42,7 +42,7 @@ func TestSpanRingWraparoundUnderFork(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < ringBatch+5; i++ {
+		for i := 0; i < StageBatch+5; i++ {
 			fring.Record(-1, float64(i), 1, float64(i), 0, 0)
 		}
 		fring.Flush()
@@ -63,7 +63,7 @@ func TestSpanRingWraparoundUnderFork(t *testing.T) {
 				t.Fatalf("record torn or rewritten under reader: ts=%v v=%v", e.TS, e.Args["v"])
 			}
 		}
-		if snapshot == nil && len(evs) >= ringBatch {
+		if snapshot == nil && len(evs) >= StageBatch {
 			snapshot = evs
 		}
 		if err := tr.WriteJSON(io.Discard); err != nil {
@@ -94,8 +94,8 @@ func TestSpanRingWraparoundUnderFork(t *testing.T) {
 		t.Errorf("name table lost across flushes: %q, %q", final[0].Name, final[1].Name)
 	}
 	// The fork stayed independent.
-	if fork.Len() != ringBatch+5 {
-		t.Errorf("fork recorded %d spans, want %d", fork.Len(), ringBatch+5)
+	if fork.Len() != StageBatch+5 {
+		t.Errorf("fork recorded %d spans, want %d", fork.Len(), StageBatch+5)
 	}
 	if tr.Len() != total {
 		t.Errorf("fork leaked into parent: parent has %d spans, want %d", tr.Len(), total)

@@ -4,6 +4,8 @@ import (
 	"io"
 	"sync"
 	"testing"
+
+	"dcnr/internal/obs"
 )
 
 // TestRingWraparoundConcurrentRead drives a single-writer lane through
@@ -16,7 +18,7 @@ func TestRingWraparoundConcurrentRead(t *testing.T) {
 	col := tl.Column("series")
 	lane := tl.Lane("sim")
 
-	const total = laneBatch*8 + laneBatch/2 // several wraps plus a partial tail
+	const total = obs.StageBatch*8 + obs.StageBatch/2 // several wraps plus a partial tail
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {

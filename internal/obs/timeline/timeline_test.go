@@ -280,6 +280,8 @@ func TestSubscribeDeltas(t *testing.T) {
 	}
 }
 
+// TestAppendFixed pins the timeline's number encoding: six fractional
+// digits, trimmed, with the fixed-point range ending at 9e12.
 func TestAppendFixed(t *testing.T) {
 	cases := []struct {
 		v    float64
@@ -293,8 +295,8 @@ func TestAppendFixed(t *testing.T) {
 		{math.Inf(1), "+Inf"},
 	}
 	for _, c := range cases {
-		if got := string(appendFixed(nil, c.v)); got != c.want {
-			t.Errorf("appendFixed(%v) = %q, want %q", c.v, got, c.want)
+		if got := string(obs.AppendFixed(nil, c.v, fixedDigits)); got != c.want {
+			t.Errorf("AppendFixed(%v, %d) = %q, want %q", c.v, fixedDigits, got, c.want)
 		}
 	}
 }

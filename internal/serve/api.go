@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -187,11 +188,16 @@ func (p params) apply(q sev.ShardedQuery) sev.ShardedQuery {
 	return q
 }
 
-// etagFor derives the ETag for a normalized query at a generation: a
-// deterministic function of both, so If-None-Match revalidates without
-// recomputing the aggregation.
-func etagFor(gen uint64, path, norm string) string {
+// etagFor derives the ETag for a normalized query over a dataset version:
+// a deterministic function of the generation, the dataset epoch (the
+// store's content hash), and the query, so If-None-Match revalidates
+// without recomputing the aggregation — and a tag from one dataset never
+// revalidates against another, even at the same generation.
+func etagFor(gen, epoch uint64, path, norm string) string {
 	h := fnv.New64a()
+	var e [8]byte
+	binary.LittleEndian.PutUint64(e[:], epoch)
+	_, _ = h.Write(e[:])
 	_, _ = h.Write([]byte(path))
 	_, _ = h.Write([]byte{0})
 	_, _ = h.Write([]byte(norm))
@@ -230,7 +236,7 @@ func (d *Daemon) cached(compute func(sev.ShardedQuery, params) (any, error), all
 		}
 		norm := p.normalized()
 		gen := d.store.Generation()
-		etag := etagFor(gen, r.URL.Path, norm)
+		etag := etagFor(gen, d.store.Epoch(), r.URL.Path, norm)
 		w.Header().Set("ETag", etag)
 		if r.Header.Get("If-None-Match") == etag {
 			d.notModified.Add(1)

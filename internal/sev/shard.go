@@ -1,9 +1,13 @@
 package sev
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,7 +25,9 @@ import (
 //
 // The dataset generation (Generation) is bumped once per successful
 // ingest batch — the serve layer keys its result cache on it, so a bump
-// invalidates every cached aggregation at once.
+// invalidates every cached aggregation at once. The generation only
+// counts batches, so two stores holding different data can share one;
+// Epoch tells them apart.
 //
 // A Sharded must be created with NewSharded and released with Close;
 // operations after Close panic.
@@ -29,12 +35,15 @@ type Sharded struct {
 	shards []*shard
 	wg     sync.WaitGroup
 	gen    atomic.Uint64
+	epoch  atomic.Uint64
 
 	// ingestMu serializes ingest only — queries never touch it. ids holds
-	// every assigned or explicit report ID for global duplicate rejection.
+	// every assigned or explicit report ID for global duplicate rejection;
+	// digest is the running content hash behind epoch.
 	ingestMu sync.Mutex
 	ids      map[int]bool
 	nextID   int
+	digest   hash.Hash64
 }
 
 // shard is one goroutine-owned partition. Only the owner goroutine
@@ -50,7 +59,7 @@ func NewSharded(n int) *Sharded {
 	if n < 1 {
 		n = 1
 	}
-	s := &Sharded{ids: make(map[int]bool), nextID: 1}
+	s := &Sharded{ids: make(map[int]bool), nextID: 1, digest: fnv.New64a()}
 	s.shards = make([]*shard, n)
 	for i := range s.shards {
 		sh := &shard{store: NewStore(), ops: make(chan func(*Store), 16)}
@@ -81,6 +90,15 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Generation returns the dataset generation: bumped once per successful
 // AddAll or ReadJSON batch.
 func (s *Sharded) Generation() uint64 { return s.gen.Load() }
+
+// Epoch returns the dataset epoch: a content hash chained over every
+// ingested report, with its assigned ID, in ingest order. Stores loaded
+// with the same reports in the same batches agree on it; stores holding
+// different data differ (up to 64-bit hash collisions) even at equal
+// generations — across daemons and across restarts. AddAll publishes the
+// epoch before bumping the generation, so a reader that sees generation
+// N sees at least batch N's epoch.
+func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 
 // Instrument attaches one shared metrics registry to every shard's query
 // engine; counters are atomic, so the shards aggregate into the same
@@ -199,8 +217,46 @@ func (s *Sharded) AddAll(batch []Report) ([]int, error) {
 			return nil, err
 		}
 	}
+	var key []byte
+	for i := range batch {
+		key = appendReportKey(key[:0], &batch[i], ids[i])
+		_, _ = s.digest.Write(key) // hash.Hash writes never fail
+	}
+	s.epoch.Store(s.digest.Sum64())
 	s.gen.Add(1)
 	return ids, nil
+}
+
+// appendReportKey appends a length-prefixed binary encoding of every
+// field of r, with id standing in for r.ID — the bytes Epoch hashes.
+func appendReportKey(b []byte, r *Report, id int) []byte {
+	u := binary.LittleEndian.AppendUint64
+	str := func(b []byte, s string) []byte {
+		return append(u(b, uint64(len(s))), s...)
+	}
+	b = u(b, uint64(id))
+	b = u(b, uint64(r.Severity))
+	b = str(b, r.Device)
+	b = u(b, uint64(len(r.RootCauses)))
+	for _, c := range r.RootCauses {
+		b = u(b, uint64(c))
+	}
+	b = u(b, math.Float64bits(r.Start))
+	b = u(b, math.Float64bits(r.Duration))
+	b = u(b, math.Float64bits(r.Resolution))
+	b = u(b, uint64(r.Year))
+	b = str(b, r.Title)
+	b = str(b, r.Impact)
+	b = u(b, uint64(len(r.ServicesAffected)))
+	for _, svc := range r.ServicesAffected {
+		b = str(b, svc)
+	}
+	if r.Reviewed {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	return str(b, r.Reviewer)
 }
 
 // ReadJSON ingests the reports decoded from r as one batch, preserving

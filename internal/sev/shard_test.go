@@ -2,6 +2,7 @@ package sev
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -261,5 +262,74 @@ func TestShardedIngestWhileQuerying(t *testing.T) {
 	readerWG.Wait()
 	if got, want := sh.Query().Count(), 100+writers*batches*20; got != want {
 		t.Errorf("final count = %d, want %d", got, want)
+	}
+}
+
+// TestShardedEpochIsAContentHash pins the dataset epoch: equal data in
+// equal batches agrees on it at any shard count, while a change to any
+// single report field, or the same data under different IDs, moves it —
+// even at an equal generation.
+func TestShardedEpochIsAContentHash(t *testing.T) {
+	epochOf := func(shards int, batches ...[]Report) (gen, epoch uint64) {
+		t.Helper()
+		s := NewSharded(shards)
+		defer s.Close()
+		for _, b := range batches {
+			if _, err := s.AddAll(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Generation(), s.Epoch()
+	}
+	base := shardReports(20, 0)
+	for i := range base {
+		base[i].Title = "t"
+		base[i].Impact = "i"
+		base[i].ServicesAffected = []string{"svc"}
+		base[i].Reviewer = "r"
+	}
+	gen, epoch := epochOf(2, base)
+	if epoch == 0 {
+		t.Fatal("epoch not set after ingest")
+	}
+	if g, e := epochOf(3, base); g != gen || e != epoch {
+		t.Errorf("same data, different shard count: epoch %x, want %x", e, epoch)
+	}
+
+	// Perturb each field of one report in turn (reflection keeps the test
+	// honest when Report grows a field).
+	rt := reflect.TypeOf(Report{})
+	for f := 0; f < rt.NumField(); f++ {
+		batch := append([]Report(nil), base...)
+		r := &batch[7]
+		fv := reflect.ValueOf(r).Elem().Field(f)
+		switch fv.Kind() {
+		case reflect.Int:
+			fv.SetInt(fv.Int() + 1)
+			if rt.Field(f).Name == "Severity" {
+				fv.SetInt(1 + fv.Int()%3)
+			}
+		case reflect.Float64:
+			fv.SetFloat(fv.Float() + 0.5)
+		case reflect.String:
+			fv.SetString(fv.String() + "x")
+		case reflect.Bool:
+			fv.SetBool(!fv.Bool())
+		case reflect.Slice:
+			fv.Set(reflect.Append(fv, fv.Index(0)))
+		default:
+			t.Fatalf("field %s: unhandled kind %s", rt.Field(f).Name, fv.Kind())
+		}
+		if rt.Field(f).Name == "ID" {
+			r.ID = 1000 // explicit, distinct from the assigned 1..20
+		}
+		if g, e := epochOf(2, batch); g != gen || e == epoch {
+			t.Errorf("changing %s left the epoch at %x (generation %d vs %d)", rt.Field(f).Name, e, g, gen)
+		}
+	}
+
+	// The epoch chains across batches: more data, new epoch.
+	if _, e := epochOf(2, base, shardReports(1, 99)); e == epoch {
+		t.Error("a second batch left the epoch unchanged")
 	}
 }

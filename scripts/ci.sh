@@ -23,11 +23,10 @@
 #                    on failure an elevated-run SLO report is dumped to
 #                    health_slo_failure.json for triage
 #
-# Steps 3-6 are the layered defense for the PR-2 race class: heaplock
-# flags unlocked DES-heap scheduling syntactically, lockflow proves the
-# inter-procedural variant (mutations hidden behind helpers reachable from
-# unlocked entry points), and the remediation concurrency tests catch it
-# dynamically under -race.
+# Steps 3-6 are the layered defense for the Engine.Submit race class:
+# lockflow flags unlocked DES-heap scheduling statically, in the same
+# method or hidden behind helpers reachable from unlocked entry points,
+# and the remediation concurrency tests catch it dynamically under -race.
 #
 # Usage: scripts/ci.sh
 set -eu

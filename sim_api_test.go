@@ -1,8 +1,7 @@
 package dcnr
 
 // Tests for the unified simulation API surface: config validation and
-// normalization, and the equivalence contract between the deprecated flat
-// observability fields and the embedded Observe struct.
+// normalization, and the promoted Observe fields the commands assign.
 
 import (
 	"bytes"
@@ -61,31 +60,6 @@ func TestIntraConfigValidateNormalizes(t *testing.T) {
 	}
 }
 
-func TestIntraConfigValidateFoldsFlatFields(t *testing.T) {
-	reg := NewMetricsRegistry()
-	tr := NewTracer()
-	cfg := IntraConfig{Metrics: reg, Trace: tr}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if cfg.Observe.Metrics != reg || cfg.Observe.Trace != tr {
-		t.Errorf("flat fields did not fold into Observe")
-	}
-	if cfg.Metrics != nil || cfg.Trace != nil || cfg.Health != nil || cfg.Logger != nil {
-		t.Errorf("flat fields not cleared after folding")
-	}
-
-	// An explicitly set Observe field wins over the flat one.
-	reg2 := NewMetricsRegistry()
-	cfg2 := IntraConfig{Observe: Observe{Metrics: reg2}, Metrics: reg}
-	if err := cfg2.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if cfg2.Observe.Metrics != reg2 {
-		t.Errorf("flat Metrics overrode an explicit Observe.Metrics")
-	}
-}
-
 func TestBackboneConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -137,6 +111,10 @@ func scrubWallClock(s *MetricsSnapshot) {
 	}
 }
 
+// TestObserveEquivalentToFlatFields pins the spelling the commands use:
+// Observe's fields are promoted, so cfg.Metrics = reg wires the same sink
+// as Observe{Metrics: reg}. A field declared on the config itself under a
+// promoted name would shadow Observe's and silently unwire the command.
 func TestObserveEquivalentToFlatFields(t *testing.T) {
 	runWith := func(build func(reg *MetricsRegistry) IntraConfig) MetricsSnapshot {
 		t.Helper()
@@ -153,17 +131,25 @@ func TestObserveEquivalentToFlatFields(t *testing.T) {
 	}
 
 	flat := runWith(func(reg *MetricsRegistry) IntraConfig {
-		return IntraConfig{Metrics: reg}
+		var cfg IntraConfig
+		cfg.Metrics = reg
+		return cfg
 	})
 	embedded := runWith(func(reg *MetricsRegistry) IntraConfig {
 		return IntraConfig{Observe: Observe{Metrics: reg}}
 	})
 	if !reflect.DeepEqual(flat, embedded) {
-		t.Errorf("deprecated flat Metrics and Observe.Metrics produced different runs:\nflat:     %+v\nembedded: %+v",
+		t.Errorf("promoted cfg.Metrics and Observe.Metrics produced different runs:\nflat:     %+v\nembedded: %+v",
 			flat, embedded)
 	}
 	if flat.Counters["des_events_fired_total"] == 0 {
 		t.Fatalf("equivalence test ran an uninstrumented simulation")
+	}
+
+	var bb BackboneConfig
+	bb.Metrics, bb.Trace = NewMetricsRegistry(), NewTracer()
+	if bb.Observe.Metrics != bb.Metrics || bb.Observe.Trace != bb.Trace {
+		t.Errorf("BackboneConfig flat spelling does not reach Observe")
 	}
 }
 
