@@ -4,40 +4,48 @@
 //
 // Usage:
 //
-//	sevquery -data sevs.json [-year N] [-type RSW] [-severity 1..3]
-//	         [-cause Maintenance] [-group year|type|severity|cause] [-show N]
+//	sevquery -data sevs.json [-where 'year=2017&device=RSW'] \
+//	         [-group year|device|severity|cause] [-show N]
 //
-// Filters compose; -group prints counts per group instead of reports.
+// -where takes the filter dcnrd's query endpoints accept after '?': the
+// keys year, device, severity, design, cause, since and until, joined by
+// '&'. -group prints counts per group instead of reports.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"net/url"
 	"os"
-	"strings"
 
 	"dcnr"
 	"dcnr/internal/report"
+	"dcnr/internal/sev"
 )
 
 func main() {
 	var (
-		data     = flag.String("data", "sevs.json", "SEV dataset file (from dcsim)")
-		year     = flag.Int("year", 0, "filter: start year")
-		devType  = flag.String("type", "", "filter: device type (RSW, CSW, CSA, ESW, SSW, FSW, Core)")
-		severity = flag.Int("severity", 0, "filter: SEV level 1..3")
-		cause    = flag.String("cause", "", "filter: root cause category")
-		group    = flag.String("group", "", "group counts by: year, type, severity, cause")
-		show     = flag.Int("show", 10, "max reports to print when not grouping")
+		data  = flag.String("data", "sevs.json", "SEV dataset file (from dcsim)")
+		where = flag.String("where", "", "filter, as dcnrd's query string: year, device, severity, design, cause, since, until (e.g. 'year=2017&device=RSW')")
+		group = flag.String("group", "", "group counts by: year, device, severity, cause")
+		show  = flag.Int("show", 10, "max reports to print when not grouping")
 	)
 	flag.Parse()
-	if err := run(*data, *year, *devType, *severity, *cause, *group, *show); err != nil {
+	if err := run(*data, *where, *group, *show); err != nil {
 		fmt.Fprintln(os.Stderr, "sevquery:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, year int, devType string, severity int, cause, group string, show int) error {
+func run(path, where, group string, show int) error {
+	vals, err := url.ParseQuery(where)
+	if err != nil {
+		return fmt.Errorf("bad -where: %w", err)
+	}
+	filter, err := sev.ParseFilter(vals)
+	if err != nil {
+		return fmt.Errorf("bad -where: %w", err)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -48,32 +56,7 @@ func run(path string, year int, devType string, severity int, cause, group strin
 		return err
 	}
 
-	q := store.Query()
-	if year != 0 {
-		q = q.Year(year)
-	}
-	if devType != "" {
-		dt, err := dcnr.ParseDeviceName(strings.ToLower(devType) + "001")
-		if err != nil {
-			return fmt.Errorf("unknown device type %q", devType)
-		}
-		q = q.DeviceType(dt)
-	}
-	if severity != 0 {
-		s := dcnr.Severity(severity)
-		if !s.Valid() {
-			return fmt.Errorf("severity must be 1..3, got %d", severity)
-		}
-		q = q.Severity(s)
-	}
-	if cause != "" {
-		rc, err := parseCause(cause)
-		if err != nil {
-			return err
-		}
-		q = q.RootCause(rc)
-	}
-
+	q := store.Query().Where(filter)
 	switch group {
 	case "":
 		return printReports(q.Reports(), show)
@@ -84,7 +67,7 @@ func run(path string, year int, devType string, severity int, cause, group strin
 			t.AddRow(fmt.Sprint(y), fmt.Sprint(byYear[y]))
 		}
 		return t.Render(os.Stdout)
-	case "type":
+	case "device":
 		t := &report.Table{Headers: []string{"Device type", "SEVs"}}
 		byType := q.CountByDeviceType()
 		for _, dt := range dcnr.IntraDCTypes {
@@ -110,15 +93,6 @@ func run(path string, year int, devType string, severity int, cause, group strin
 	default:
 		return fmt.Errorf("unknown -group %q", group)
 	}
-}
-
-func parseCause(s string) (dcnr.RootCause, error) {
-	for _, c := range dcnr.RootCauses {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown root cause %q", s)
 }
 
 func printReports(reports []dcnr.SEVReport, show int) error {

@@ -39,16 +39,19 @@ func TestQueriesAndGroupings(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"list", func() error { return run(path, 0, "", 0, "", "", 10) }},
-		{"year filter", func() error { return run(path, 2017, "", 0, "", "", 10) }},
-		{"type filter", func() error { return run(path, 0, "RSW", 0, "", "", 10) }},
-		{"severity filter", func() error { return run(path, 0, "", 1, "", "", 10) }},
-		{"cause filter", func() error { return run(path, 0, "", 0, "Configuration", "", 10) }},
-		{"group year", func() error { return run(path, 0, "", 0, "", "year", 10) }},
-		{"group type", func() error { return run(path, 0, "", 0, "", "type", 10) }},
-		{"group severity", func() error { return run(path, 0, "", 0, "", "severity", 10) }},
-		{"group cause", func() error { return run(path, 0, "", 0, "", "cause", 10) }},
-		{"truncated list", func() error { return run(path, 0, "", 0, "", "", 1) }},
+		{"list", func() error { return run(path, "", "", 10) }},
+		{"year filter", func() error { return run(path, "year=2017", "", 10) }},
+		{"type filter", func() error { return run(path, "device=RSW", "", 10) }},
+		{"severity filter", func() error { return run(path, "severity=1", "", 10) }},
+		{"cause filter", func() error { return run(path, "cause=Configuration", "", 10) }},
+		{"design filter", func() error { return run(path, "design=cluster", "", 10) }},
+		{"window filter", func() error { return run(path, "since=1.5&until=3", "", 10) }},
+		{"combined filter", func() error { return run(path, "year=2017&device=core&severity=SEV1", "", 10) }},
+		{"group year", func() error { return run(path, "", "year", 10) }},
+		{"group device", func() error { return run(path, "", "device", 10) }},
+		{"group severity", func() error { return run(path, "", "severity", 10) }},
+		{"group cause", func() error { return run(path, "", "cause", 10) }},
+		{"truncated list", func() error { return run(path, "", "", 1) }},
 	}
 	for _, c := range cases {
 		if err := c.call(); err != nil {
@@ -59,19 +62,24 @@ func TestQueriesAndGroupings(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	path := datasetFile(t)
-	if err := run("missing.json", 0, "", 0, "", "", 10); err == nil {
+	if err := run("missing.json", "", "", 10); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run(path, 0, "XYZ", 0, "", "", 10); err == nil {
-		t.Error("unknown type accepted")
+	for _, where := range []string{
+		"device=XYZ",
+		// Spellings the old device-name prefix match accepted; dcnrd
+		// never did.
+		"device=rsw.x", "device=RSW001", "device=core-foo",
+		"severity=9", "cause=Gremlins",
+		"type=RSW", "year=2013&year=2014", "since=NaN", "%zz",
+	} {
+		if err := run(path, where, "", 10); err == nil {
+			t.Errorf("-where %q accepted", where)
+		}
 	}
-	if err := run(path, 0, "", 9, "", "", 10); err == nil {
-		t.Error("invalid severity accepted")
-	}
-	if err := run(path, 0, "", 0, "Gremlins", "", 10); err == nil {
-		t.Error("unknown cause accepted")
-	}
-	if err := run(path, 0, "", 0, "", "vibes", 10); err == nil {
-		t.Error("unknown grouping accepted")
+	for _, group := range []string{"vibes", "type"} {
+		if err := run(path, "", group, 10); err == nil {
+			t.Errorf("-group %q accepted", group)
+		}
 	}
 }

@@ -64,13 +64,20 @@ func fixtureImporter(t *testing.T) (*token.FileSet, types.Importer) {
 // testdata/src.
 func loadFixture(t *testing.T, rel string) *Package {
 	t.Helper()
+	return loadFixtureAs(t, rel, "fixture/"+rel)
+}
+
+// loadFixtureAs is loadFixture under a chosen import path, for fixtures
+// that stand in for a real package.
+func loadFixtureAs(t *testing.T, rel, importPath string) *Package {
+	t.Helper()
 	fset, imp := fixtureImporter(t)
 	dir := filepath.Join("testdata", "src", rel)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
 	}
-	lp := &listPackage{ImportPath: "fixture/" + rel, Dir: dir}
+	lp := &listPackage{ImportPath: importPath, Dir: dir}
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".go") {
 			lp.GoFiles = append(lp.GoFiles, e.Name())

@@ -1,6 +1,11 @@
 package analyzers
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +56,56 @@ func TestSimTaintRegression(t *testing.T) {
 	})
 	if !diagsMention(diags, "Record") {
 		t.Errorf("the diagnostic should name the journal sink: %q", diagKeys(diags))
+	}
+}
+
+// TestSimTaintSweepEmitterSink: the sink entry for sweep's ordered stream
+// emitter fires on a wall-clock value in an emitted chunk, and only there.
+func TestSimTaintSweepEmitterSink(t *testing.T) {
+	const rel = "simtaint/sweepsink"
+	pkg := loadFixtureAs(t, rel, "dcnr/internal/sweep")
+	m := NewModule(filepath.Join("testdata", "src", rel), []*Package{pkg})
+	diags, err := m.Analyze([]*ModuleAnalyzer{SimTaint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDiags(t, diags, []string{"emit.go:27:9 simtaint"})
+	if !diagsMention(diags, "wall-clock") {
+		t.Errorf("the emit diagnostic should name wall-clock taint: %q", diagKeys(diags))
+	}
+}
+
+// TestTaintSinksExist keeps the sink table honest: every entry names a
+// method declared in its package's source with the tainted argument in
+// range, so renaming a sink cannot silently retire it.
+func TestTaintSinksExist(t *testing.T) {
+	for _, s := range taintSinks {
+		dir := filepath.Join("..", "..", strings.TrimPrefix(s.pkg, "dcnr/"))
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("%s: %v", s.pkg, err)
+		}
+		found := false
+		for _, p := range pkgs {
+			for _, f := range p.Files {
+				for _, d := range f.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok || fd.Recv == nil || fd.Name.Name != s.name {
+						continue
+					}
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok && id.Name == s.recv && fd.Type.Params.NumFields() > s.arg {
+						found = true
+					}
+				}
+			}
+		}
+		if !found {
+			t.Errorf("taint sink %s.(%s).%s arg %d: no such method", s.pkg, s.recv, s.name, s.arg)
+		}
 	}
 }
 

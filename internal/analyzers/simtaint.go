@@ -13,7 +13,7 @@ import (
 // returns, and (via per-function summaries propagated over the call graph)
 // across function boundaries — and reports only when a tainted value
 // reaches a deterministic-output sink: the journal lane writer, the sev
-// store, or the sweep report's ordered JSONL writers. Wall-clock telemetry
+// store, or the sweep campaign's ordered stream emitter. Wall-clock telemetry
 // that stays in metrics and traces is therefore fine without any
 // directive; a time.Now() laundered through three helpers into the
 // journal encoder is not.
@@ -37,8 +37,8 @@ var SimTaint = &ModuleAnalyzer{
 	Doc:  "track wall-clock/PRNG/map-order taint from source to deterministic-output sinks",
 	Contract: `Values derived from the wall clock (time.Now/Since/Until, timers),
 math/rand, or map-iteration order must never reach a deterministic-output
-sink: journal Lane.Record, sev Store.Add, or the sweep report's ordered
-JSONL writers. Taint follows the value — through locals, struct fields,
+sink: journal Lane.Record, sev Store.Add, or the sweep campaign's ordered
+stream emitter. Taint follows the value — through locals, struct fields,
 returns, and call chains via per-function summaries — so telemetry that
 stays in metrics/traces needs no directive, while a time.Now() laundered
 through helpers into an encoder is reported at the sink call with the
@@ -74,8 +74,7 @@ type taintSink struct {
 var taintSinks = []taintSink{
 	{pkg: "dcnr/internal/obs/journal", recv: "Lane", name: "Record", arg: 0},
 	{pkg: "dcnr/internal/sev", recv: "Store", name: "Add", arg: 0},
-	{pkg: "dcnr/internal/sweep", recv: "orderedWriter", name: "write", arg: 1},
-	{pkg: "dcnr/internal/sweep", recv: "orderedWriter", name: "writeRaw", arg: 1},
+	{pkg: "dcnr/internal/sweep", recv: "emitter", name: "emit", arg: 1},
 }
 
 func matchTaintSink(fn *types.Func) *taintSink {
@@ -648,6 +647,9 @@ func (st *taintState) evalCall(call *ast.CallExpr, n int, facts taintFacts, coll
 		_ = i
 		if !writableArg(st.info, a) {
 			continue
+		}
+		if u, ok := ast.Unparen(a).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			a = u.X // &buf writes through to buf
 		}
 		if root := rootIdent(a); root != nil {
 			facts.merge(st.lookupObj(root), union)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,176 +17,48 @@ import (
 	"dcnr/internal/topology"
 )
 
-// params is one parsed query-endpoint request: the SEV filters plus the
-// grouping dimension. Parsing canonicalizes every value (device and
-// cause names are matched case-insensitively and re-rendered from the
-// parsed value), so two spellings of the same query share one cache key.
+// params is one parsed query-endpoint request: the SEV filter plus the
+// grouping dimension.
 type params struct {
-	year     *int
-	device   *topology.DeviceType
-	severity *sev.Severity
-	design   *topology.Design
-	cause    *sev.RootCause
-	since    *float64
-	until    *float64
-	by       string
+	filter sev.Filter
+	by     string
 }
 
-func parseDeviceType(s string) (topology.DeviceType, error) {
-	for _, t := range topology.DeviceTypes {
-		if strings.EqualFold(s, t.String()) {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown device type %q", s)
-}
-
-func parseDesign(s string) (topology.Design, error) {
-	for _, d := range []topology.Design{topology.DesignShared, topology.DesignCluster, topology.DesignFabric} {
-		if strings.EqualFold(s, d.String()) {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown design %q", s)
-}
-
-func parseRootCause(s string) (sev.RootCause, error) {
-	for _, c := range sev.RootCauses {
-		if strings.EqualFold(s, c.String()) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown root cause %q", s)
-}
-
-// parseParams reads the filter/grouping query parameters. allowedBy
-// lists the endpoint's valid `by` dimensions ("" entries allowed).
+// parseParams reads the filter/grouping query parameters: `by` here,
+// every other key through sev.ParseFilter. allowedBy lists the endpoint's
+// valid `by` dimensions ("" entries allowed).
 func parseParams(r *http.Request, allowedBy ...string) (params, error) {
 	var p params
 	q := r.URL.Query()
-	if s := q.Get("year"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return p, fmt.Errorf("bad year: %v", err)
-		}
-		p.year = &v
+	by := q["by"]
+	delete(q, "by")
+	if len(by) > 1 {
+		return p, fmt.Errorf("repeated query key %q", "by")
 	}
-	if s := q.Get("device"); s != "" {
-		t, err := parseDeviceType(s)
-		if err != nil {
-			return p, err
-		}
-		p.device = &t
+	if len(by) == 1 {
+		p.by = by[0]
 	}
-	if s := q.Get("severity"); s != "" {
-		n, err := strconv.Atoi(strings.TrimPrefix(strings.ToUpper(s), "SEV"))
-		if err != nil {
-			return p, fmt.Errorf("bad severity: %v", err)
-		}
-		v := sev.Severity(n)
-		if !v.Valid() {
-			return p, fmt.Errorf("bad severity %d", n)
-		}
-		p.severity = &v
+	var err error
+	if p.filter, err = sev.ParseFilter(q); err != nil {
+		return p, err
 	}
-	if s := q.Get("design"); s != "" {
-		d, err := parseDesign(s)
-		if err != nil {
-			return p, err
-		}
-		p.design = &d
+	if !slices.Contains(allowedBy, p.by) {
+		return p, fmt.Errorf("bad by=%q (want one of %s)", p.by, strings.Join(allowedBy, "|"))
 	}
-	if s := q.Get("cause"); s != "" {
-		c, err := parseRootCause(s)
-		if err != nil {
-			return p, err
-		}
-		p.cause = &c
-	}
-	for _, bound := range []struct {
-		name string
-		dst  **float64
-	}{{"since", &p.since}, {"until", &p.until}} {
-		if s := q.Get(bound.name); s != "" {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return p, fmt.Errorf("bad %s: %v", bound.name, err)
-			}
-			*bound.dst = &v
-		}
-	}
-	p.by = q.Get("by")
-	for _, ok := range allowedBy {
-		if p.by == ok {
-			return p, nil
-		}
-	}
-	return p, fmt.Errorf("bad by=%q (want one of %s)", p.by, strings.Join(allowedBy, "|"))
+	return p, nil
 }
 
-// normalized renders the params in canonical field order with canonical
-// value spellings — the cache-key and ETag basis.
-func (p params) normalized() string {
-	var sb strings.Builder
-	add := func(k, v string) {
-		if sb.Len() > 0 {
-			sb.WriteByte('&')
-		}
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(v)
+// key is the canonical query — the filter's canonical encoding, then by —
+// behind the cache key and the ETag: two spellings of one query share it.
+func (p params) key() string {
+	k := p.filter.String()
+	if p.by == "" {
+		return k
 	}
-	if p.year != nil {
-		add("year", strconv.Itoa(*p.year))
+	if k != "" {
+		k += "&"
 	}
-	if p.device != nil {
-		add("device", p.device.String())
-	}
-	if p.severity != nil {
-		add("severity", strconv.Itoa(int(*p.severity)))
-	}
-	if p.design != nil {
-		add("design", p.design.String())
-	}
-	if p.cause != nil {
-		add("cause", p.cause.String())
-	}
-	if p.since != nil {
-		add("since", strconv.FormatFloat(*p.since, 'g', -1, 64))
-	}
-	if p.until != nil {
-		add("until", strconv.FormatFloat(*p.until, 'g', -1, 64))
-	}
-	if p.by != "" {
-		add("by", p.by)
-	}
-	return sb.String()
-}
-
-// apply narrows the fan-out query with every set filter.
-func (p params) apply(q sev.ShardedQuery) sev.ShardedQuery {
-	if p.year != nil {
-		q = q.Year(*p.year)
-	}
-	if p.device != nil {
-		q = q.DeviceType(*p.device)
-	}
-	if p.severity != nil {
-		q = q.Severity(*p.severity)
-	}
-	if p.design != nil {
-		q = q.Design(*p.design)
-	}
-	if p.cause != nil {
-		q = q.RootCause(*p.cause)
-	}
-	if p.since != nil {
-		q = q.Since(*p.since)
-	}
-	if p.until != nil {
-		q = q.Until(*p.until)
-	}
-	return q
+	return k + "by=" + p.by
 }
 
 // etagFor derives the ETag for a normalized query over a dataset version:
@@ -206,9 +79,9 @@ func etagFor(gen, epoch uint64, path, norm string) string {
 
 // registerAPI mounts the query endpoints.
 func (d *Daemon) registerAPI() {
-	d.srv.Register("/query/count", d.cached(d.handleCount,
+	d.srv.Register("/query/count", d.cached(countBody,
 		"", "device", "severity", "year", "cause", "severity-device", "year-severity", "year-device", "year-design"))
-	d.srv.Register("/query/resolutions", d.cached(d.handleResolutions,
+	d.srv.Register("/query/resolutions", d.cached(resolutionsBody,
 		"", "device", "year"))
 	d.srv.Register("/ingest", http.HandlerFunc(d.handleIngest))
 	d.srv.Register("/stats", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -221,7 +94,7 @@ func (d *Daemon) registerAPI() {
 // the generation-bearing ETag (304, no recompute), then serve from the
 // LRU or compute and fill it. Responses carry ETag and X-Cache (hit |
 // miss) headers.
-func (d *Daemon) cached(compute func(sev.ShardedQuery, params) (any, error), allowedBy ...string) http.Handler {
+func (d *Daemon) cached(compute func(q sev.Query, by string) (any, error), allowedBy ...string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -234,7 +107,7 @@ func (d *Daemon) cached(compute func(sev.ShardedQuery, params) (any, error), all
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		norm := p.normalized()
+		norm := p.key()
 		gen := d.store.Generation()
 		etag := etagFor(gen, d.store.Epoch(), r.URL.Path, norm)
 		w.Header().Set("ETag", etag)
@@ -256,7 +129,7 @@ func (d *Daemon) cached(compute func(sev.ShardedQuery, params) (any, error), all
 		}
 		d.misses.Add(1)
 		d.mMisses.Inc()
-		v, err := compute(p.apply(d.store.Query()), p)
+		v, err := compute(d.store.Query().Where(p.filter), p.by)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -307,12 +180,11 @@ func devKey(t topology.DeviceType) string    { return t.String() }
 func sevKey(s sev.Severity) string           { return s.String() }
 func causeKey(c sev.RootCause) string        { return c.String() }
 func designKey(dn topology.Design) string    { return dn.String() }
-func (d *Daemon) query() sev.ShardedQuery    { return d.store.Query() }
 func groups(m map[string]any) *countResponse { return &countResponse{Groups: m} }
 func scalar(n int) *countResponse            { return &countResponse{Count: &n} }
 
-func (d *Daemon) handleCount(q sev.ShardedQuery, p params) (any, error) {
-	switch p.by {
+func countBody(q sev.Query, by string) (any, error) {
+	switch by {
 	case "":
 		return scalar(q.Count()), nil
 	case "device":
@@ -332,7 +204,7 @@ func (d *Daemon) handleCount(q sev.ShardedQuery, p params) (any, error) {
 	case "year-design":
 		return groups(nestedKeys(q.CountByYearDesign(), itoaKey, designKey)), nil
 	}
-	return nil, fmt.Errorf("bad by=%q", p.by)
+	return nil, fmt.Errorf("bad by=%q", by)
 }
 
 // band summarizes one resolution-time sample set as percentile bands
@@ -361,9 +233,9 @@ type resolutionsResponse struct {
 	Groups map[string]band `json:"groups"`
 }
 
-func (d *Daemon) handleResolutions(q sev.ShardedQuery, p params) (any, error) {
+func resolutionsBody(q sev.Query, by string) (any, error) {
 	samples := make(map[string][]float64)
-	switch p.by {
+	switch by {
 	case "":
 		if xs := q.Resolutions(); len(xs) > 0 {
 			samples["all"] = xs
@@ -377,7 +249,7 @@ func (d *Daemon) handleResolutions(q sev.ShardedQuery, p params) (any, error) {
 			samples[itoaKey(y)] = xs
 		}
 	default:
-		return nil, fmt.Errorf("bad by=%q", p.by)
+		return nil, fmt.Errorf("bad by=%q", by)
 	}
 	out := resolutionsResponse{Groups: make(map[string]band, len(samples))}
 	for k, xs := range samples {

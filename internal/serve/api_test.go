@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -331,5 +332,90 @@ func TestDaemonString(t *testing.T) {
 	defer d.Shutdown()
 	if got := fmt.Sprint(d); got != "dcnrd{shards: 2, cache: 8}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestCanonicalKeysPinned pins the canonical query text behind cache keys
+// and ETags. Every expected string was captured from the daemon before
+// its filter grammar moved into sev.ParseFilter, so a change here moves
+// every cache key and ETag.
+func TestCanonicalKeysPinned(t *testing.T) {
+	allowed := []string{"", "device", "severity", "year", "cause",
+		"severity-device", "year-severity", "year-device", "year-design"}
+	for _, c := range []struct{ raw, want string }{
+		{"", ""},
+		{"by=severity", "by=severity"},
+		{"device=rsw&year=2013", "year=2013&device=RSW"},
+		{"year=2013&device=RSW", "year=2013&device=RSW"},
+		{"severity=SEV2", "severity=2"},
+		{"severity=sev2&by=device", "severity=2&by=device"},
+		{"severity=2", "severity=2"},
+		{"severity=%2B03", "severity=3"},
+		{"design=FABRIC", "design=Fabric"},
+		{"by=year-device&design=cluster", "design=Cluster&by=year-device"},
+		{"cause=maintenance", "cause=Maintenance"},
+		{"cause=HARDWARE&severity=3&year=2017", "year=2017&severity=3&cause=Hardware"},
+		{"cause=capacity+PLANNING", "cause=Capacity planning"},
+		{"cause=Capacity%20planning&by=year", "cause=Capacity planning&by=year"},
+		{"since=1e3&until=2000.50", "since=1000&until=2000.5"},
+		{"since=-1e-7&until=1E%2B22", "since=-1e-07&until=1e+22"},
+		{"until=%2BInf&since=-inf", "since=-Inf&until=+Inf"},
+		{"since=0x1p4", "since=16"},
+		{"since=-0", "since=-0"},
+		{"year=%2B02014", "year=2014"},
+		{"year=-5", "year=-5"},
+		{"by=year-severity&until=20&since=10&severity=SEV1&design=Fabric&cause=Bug&device=core&year=2015",
+			"year=2015&device=Core&severity=1&design=Fabric&cause=Bug&since=10&until=20&by=year-severity"},
+		{"year=&device=fsw", "device=FSW"},
+		{"device=Csa&by=cause", "device=CSA&by=cause"},
+		{"device=bbr&since=.5", "device=BBR&since=0.5"},
+		{"design=shared&by=severity-device", "design=Shared&by=severity-device"},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/query/count?"+c.raw, nil)
+		p, err := parseParams(r, allowed...)
+		if err != nil {
+			t.Errorf("%q: %v", c.raw, err)
+			continue
+		}
+		if got := p.key(); got != c.want {
+			t.Errorf("%q: key %q, want %q", c.raw, got, c.want)
+		}
+	}
+}
+
+// TestDaemonRejectsBadKeys: an unknown, misspelled or repeated query key
+// is a 400 naming the key, never a silently unfiltered answer; a NaN
+// window bound is a 400 on the index and the time-window path alike.
+func TestDaemonRejectsBadKeys(t *testing.T) {
+	_, base := startDaemon(t, Config{Shards: 2}, 50)
+	for q, key := range map[string]string{
+		"type=RSW":            "type",
+		"year=2013&year=2014": "year",
+		"yaer=2013":           "yaer",
+		"by=year&by=device":   "by",
+		"since=NaN":           "since",
+		"year=2013&since=NaN": "since",
+		"until=nan&by=device": "until",
+	} {
+		resp, err := http.Get(base + "/query/count?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("?%s: %d %s, want 400", q, resp.StatusCode, body)
+		} else if !strings.Contains(string(body), fmt.Sprintf("%q", key)) &&
+			!strings.Contains(string(body), key+" ") {
+			t.Errorf("?%s: message %q does not name %q", q, body, key)
+		}
+	}
+	// Infinite bounds stay valid.
+	var count struct {
+		Count *int `json:"count"`
+	}
+	getJSON(t, base+"/query/count?since=-Inf&until=%2BInf", &count)
+	if count.Count == nil || *count.Count != 50 {
+		t.Errorf("infinite window count = %+v, want 50", count)
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"dcnr/internal/topology"
 )
 
-// Query is a filtered view over a Store's reports. The zero Query matches
-// everything; With* methods narrow it. Queries are values: narrowing
-// returns a new Query and never mutates the receiver.
+// Query is a filtered view over a Store's — or a Sharded store's —
+// reports. The zero-filter Query matches everything; the builder methods
+// and Where narrow it. Queries are values: narrowing returns a new Query
+// and never mutates the receiver.
 //
 // Evaluation uses the store's secondary indexes: every set-valued predicate
 // (year, device type, severity, design, root cause) selects a posting list,
@@ -20,118 +21,96 @@ import (
 // An instrumented store (Store.Instrument) counts the two paths as
 // sev_queries_indexed_total vs sev_queries_scan_total, so scan regressions
 // show up in metrics instead of only in latency.
+//
+// A query over a Sharded store runs each aggregation on every shard's
+// goroutine in parallel and merges the partial results (collect).
 type Query struct {
-	store        *Store
-	year         *int
-	deviceType   *topology.DeviceType
-	severity     *Severity
-	design       *topology.Design
-	rootCause    *RootCause
-	since, until *float64
+	store  *Store
+	shards *Sharded
+	f      Filter
 }
 
 // Query starts a query over all reports in the store.
 func (s *Store) Query() Query { return Query{store: s} }
 
+// Where narrows the query by every predicate f sets; a predicate both
+// set keeps f's value.
+func (q Query) Where(f Filter) Query {
+	if f.set&fYear != 0 {
+		q.f.year = f.year
+	}
+	if f.set&fDevice != 0 {
+		q.f.device = f.device
+	}
+	if f.set&fSeverity != 0 {
+		q.f.severity = f.severity
+	}
+	if f.set&fDesign != 0 {
+		q.f.design = f.design
+	}
+	if f.set&fCause != 0 {
+		q.f.cause = f.cause
+	}
+	if f.set&fSince != 0 {
+		q.f.since = f.since
+	}
+	if f.set&fUntil != 0 {
+		q.f.until = f.until
+	}
+	q.f.set |= f.set
+	return q
+}
+
 // Year narrows to incidents that started in the given calendar year.
-func (q Query) Year(y int) Query { q.year = &y; return q }
+func (q Query) Year(y int) Query { q.f.year = y; q.f.set |= fYear; return q }
 
 // DeviceType narrows to incidents whose offending device has type t.
-func (q Query) DeviceType(t topology.DeviceType) Query { q.deviceType = &t; return q }
+func (q Query) DeviceType(t topology.DeviceType) Query {
+	q.f.device = t
+	q.f.set |= fDevice
+	return q
+}
 
 // Severity narrows to incidents of the given level.
-func (q Query) Severity(v Severity) Query { q.severity = &v; return q }
+func (q Query) Severity(v Severity) Query { q.f.severity = v; q.f.set |= fSeverity; return q }
 
 // Design narrows to incidents on devices of the given network design.
-func (q Query) Design(d topology.Design) Query { q.design = &d; return q }
+func (q Query) Design(d topology.Design) Query { q.f.design = d; q.f.set |= fDesign; return q }
 
 // RootCause narrows to incidents that carry the given root-cause category
 // (a multi-cause SEV matches each of its categories, per §5.1's counting
 // rule).
-func (q Query) RootCause(c RootCause) Query { q.rootCause = &c; return q }
+func (q Query) RootCause(c RootCause) Query { q.f.cause = c; q.f.set |= fCause; return q }
 
 // Since narrows to incidents starting at or after t (hours since epoch).
-func (q Query) Since(t float64) Query { q.since = &t; return q }
+func (q Query) Since(t float64) Query { q.f.since = t; q.f.set |= fSince; return q }
 
 // Until narrows to incidents starting strictly before t (hours since
 // epoch). Since(a).Until(b) selects the half-open window [a, b).
-func (q Query) Until(t float64) Query { q.until = &t; return q }
-
-// matches is the full sequential-scan predicate, used when no index
-// applies and by tests cross-checking the index path.
-func (q Query) matches(r *Report) bool {
-	if q.year != nil && r.Year != *q.year {
-		return false
-	}
-	if !q.matchesWindow(r) {
-		return false
-	}
-	if q.severity != nil && r.Severity != *q.severity {
-		return false
-	}
-	if q.deviceType != nil {
-		t, err := r.DeviceType()
-		if err != nil || t != *q.deviceType {
-			return false
-		}
-	}
-	if q.design != nil && r.Design() != *q.design {
-		return false
-	}
-	if q.rootCause != nil {
-		found := false
-		for _, c := range r.EffectiveRootCauses() {
-			if c == *q.rootCause {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// matchesWindow applies the residual Since/Until predicates — the only
-// filters the posting lists do not encode.
-func (q Query) matchesWindow(r *Report) bool {
-	if q.since != nil && r.Start < *q.since {
-		return false
-	}
-	if q.until != nil && r.Start >= *q.until {
-		return false
-	}
-	return true
-}
+func (q Query) Until(t float64) Query { q.f.until = t; q.f.set |= fUntil; return q }
 
 // postingsLocked collects the posting lists selected by q's indexed
-// predicates. indexed is false when q has none (→ scan path). A predicate
-// whose key is absent from its index yields an empty list, which makes the
+// predicates. indexed is false when q has none. A predicate whose key is
+// absent from its index yields an empty list, which makes the
 // intersection empty. Caller holds the store's read lock.
 func (q Query) postingsLocked() (lists [][]int, indexed bool) {
-	s := q.store
-	if q.year != nil {
-		lists = append(lists, s.byYear[*q.year])
-		indexed = true
+	s, f := q.store, &q.f
+	if f.set&fYear != 0 {
+		lists = append(lists, s.byYear[f.year])
 	}
-	if q.deviceType != nil {
-		lists = append(lists, s.byType[*q.deviceType])
-		indexed = true
+	if f.set&fDevice != 0 {
+		lists = append(lists, s.byType[f.device])
 	}
-	if q.severity != nil {
-		lists = append(lists, s.bySev[*q.severity])
-		indexed = true
+	if f.set&fSeverity != 0 {
+		lists = append(lists, s.bySev[f.severity])
 	}
-	if q.design != nil {
-		lists = append(lists, s.byDesign[*q.design])
-		indexed = true
+	if f.set&fDesign != 0 {
+		lists = append(lists, s.byDesign[f.design])
 	}
-	if q.rootCause != nil {
-		lists = append(lists, s.byCause[*q.rootCause])
-		indexed = true
+	if f.set&fCause != 0 {
+		lists = append(lists, s.byCause[f.cause])
 	}
-	return lists, indexed
+	return lists, f.set&^(fSince|fUntil) != 0
 }
 
 // intersectPostings intersects sorted position lists, iterating the
@@ -180,17 +159,17 @@ func (q Query) forEach(fn func(pos int, r *Report)) {
 		candidates := intersectPostings(lists)
 		s.hCandidates.Observe(float64(len(candidates)))
 		for _, pos := range candidates {
-			if r := &s.reports[pos]; q.matchesWindow(r) {
+			if r := &s.reports[pos]; q.f.matchesWindow(r) {
 				fn(pos, r)
 			}
 		}
 		return
 	}
-	if q.since != nil || q.until != nil {
+	if q.f.set != 0 {
 		// Window-only query: binary search the start-time index for the
 		// matching range, then restore position order for the caller.
 		s.mIndexed.Inc()
-		in := s.startRangeLocked(q.since, q.until)
+		in := s.startRangeLocked(&q.f)
 		s.hCandidates.Observe(float64(len(in)))
 		candidates := append([]int(nil), in...)
 		sort.Ints(candidates)
@@ -201,163 +180,196 @@ func (q Query) forEach(fn func(pos int, r *Report)) {
 	}
 	s.mScanned.Inc()
 	for pos := range s.reports {
-		if r := &s.reports[pos]; q.matches(r) {
-			fn(pos, r)
-		}
+		fn(pos, &s.reports[pos])
 	}
 }
 
 // Reports returns the matching reports in ID order.
 func (q Query) Reports() []Report {
-	var out []Report
-	q.forEach(func(_ int, r *Report) { out = append(out, *r) })
-	return out
+	return collect(q, func(q Query) []Report {
+		var out []Report
+		q.forEach(func(_ int, r *Report) { out = append(out, *r) })
+		return out
+	}, func(parts [][]Report) []Report {
+		out := concat(parts)
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		return out
+	})
 }
 
 // Count returns the number of matching reports.
 func (q Query) Count() int {
-	n := 0
-	q.forEach(func(int, *Report) { n++ })
-	return n
+	return collect(q, func(q Query) int {
+		n := 0
+		q.forEach(func(int, *Report) { n++ })
+		return n
+	}, func(parts []int) int {
+		n := 0
+		for _, c := range parts {
+			n += c
+		}
+		return n
+	})
 }
 
 // CountByDeviceType groups matching reports by offending device type.
 func (q Query) CountByDeviceType() map[topology.DeviceType]int {
-	out := make(map[topology.DeviceType]int)
-	q.forEach(func(pos int, _ *Report) {
-		if t := q.store.types[pos]; t >= 0 {
-			out[t]++
-		}
-	})
-	return out
+	return collect(q, func(q Query) map[topology.DeviceType]int {
+		out := make(map[topology.DeviceType]int)
+		q.forEach(func(pos int, _ *Report) {
+			if t := q.store.types[pos]; t >= 0 {
+				out[t]++
+			}
+		})
+		return out
+	}, mergeCounts)
 }
 
 // CountBySeverity groups matching reports by severity level.
 func (q Query) CountBySeverity() map[Severity]int {
-	out := make(map[Severity]int)
-	q.forEach(func(_ int, r *Report) { out[r.Severity]++ })
-	return out
+	return collect(q, func(q Query) map[Severity]int {
+		out := make(map[Severity]int)
+		q.forEach(func(_ int, r *Report) { out[r.Severity]++ })
+		return out
+	}, mergeCounts)
 }
 
 // CountByYear groups matching reports by start year.
 func (q Query) CountByYear() map[int]int {
-	out := make(map[int]int)
-	q.forEach(func(_ int, r *Report) { out[r.Year]++ })
-	return out
+	return collect(q, func(q Query) map[int]int {
+		out := make(map[int]int)
+		q.forEach(func(_ int, r *Report) { out[r.Year]++ })
+		return out
+	}, mergeCounts)
 }
 
 // CountByRootCause groups matching reports by root-cause category. A SEV
 // with multiple root causes counts toward each (§5.1); one with none counts
 // as Undetermined.
 func (q Query) CountByRootCause() map[RootCause]int {
-	out := make(map[RootCause]int)
-	q.forEach(func(_ int, r *Report) {
-		for _, c := range r.EffectiveRootCauses() {
-			out[c]++
-		}
-	})
-	return out
+	return collect(q, func(q Query) map[RootCause]int {
+		out := make(map[RootCause]int)
+		q.forEach(func(_ int, r *Report) {
+			for _, c := range r.EffectiveRootCauses() {
+				out[c]++
+			}
+		})
+		return out
+	}, mergeCounts)
 }
 
 // CountBySeverityDeviceType groups matching reports by severity level and,
 // within each level, by device type — Figure 4's nested breakdown in one
 // pass.
 func (q Query) CountBySeverityDeviceType() map[Severity]map[topology.DeviceType]int {
-	out := make(map[Severity]map[topology.DeviceType]int)
-	q.forEach(func(pos int, r *Report) {
-		row := out[r.Severity]
-		if row == nil {
-			row = make(map[topology.DeviceType]int)
-			out[r.Severity] = row
-		}
-		if t := q.store.types[pos]; t >= 0 {
-			row[t]++
-		}
-	})
-	return out
+	return collect(q, func(q Query) map[Severity]map[topology.DeviceType]int {
+		out := make(map[Severity]map[topology.DeviceType]int)
+		q.forEach(func(pos int, r *Report) {
+			row := nestedRow(out, r.Severity)
+			if t := q.store.types[pos]; t >= 0 {
+				row[t]++
+			}
+		})
+		return out
+	}, mergeNested)
 }
 
 // CountByYearSeverity groups matching reports by start year and severity
 // level in one pass (Figure 5's numerators).
 func (q Query) CountByYearSeverity() map[int]map[Severity]int {
-	out := make(map[int]map[Severity]int)
-	q.forEach(func(_ int, r *Report) {
-		row := out[r.Year]
-		if row == nil {
-			row = make(map[Severity]int)
-			out[r.Year] = row
-		}
-		row[r.Severity]++
-	})
-	return out
+	return collect(q, func(q Query) map[int]map[Severity]int {
+		out := make(map[int]map[Severity]int)
+		q.forEach(func(_ int, r *Report) { nestedRow(out, r.Year)[r.Severity]++ })
+		return out
+	}, mergeNested)
 }
 
 // CountByYearDeviceType groups matching reports by start year and device
 // type in one pass (Figures 7 and 8's numerators).
 func (q Query) CountByYearDeviceType() map[int]map[topology.DeviceType]int {
-	out := make(map[int]map[topology.DeviceType]int)
-	q.forEach(func(pos int, r *Report) {
-		row := out[r.Year]
-		if row == nil {
-			row = make(map[topology.DeviceType]int)
-			out[r.Year] = row
-		}
-		if t := q.store.types[pos]; t >= 0 {
-			row[t]++
-		}
-	})
-	return out
+	return collect(q, func(q Query) map[int]map[topology.DeviceType]int {
+		out := make(map[int]map[topology.DeviceType]int)
+		q.forEach(func(pos int, r *Report) {
+			row := nestedRow(out, r.Year)
+			if t := q.store.types[pos]; t >= 0 {
+				row[t]++
+			}
+		})
+		return out
+	}, mergeNested)
 }
 
 // CountByYearDesign groups matching reports by start year and network
 // design in one pass (Figures 9 and 10's numerators).
 func (q Query) CountByYearDesign() map[int]map[topology.Design]int {
-	out := make(map[int]map[topology.Design]int)
-	q.forEach(func(pos int, r *Report) {
-		row := out[r.Year]
-		if row == nil {
-			row = make(map[topology.Design]int)
-			out[r.Year] = row
-		}
-		if t := q.store.types[pos]; t >= 0 {
-			row[t.Design()]++
-		}
-	})
-	return out
+	return collect(q, func(q Query) map[int]map[topology.Design]int {
+		out := make(map[int]map[topology.Design]int)
+		q.forEach(func(pos int, r *Report) {
+			row := nestedRow(out, r.Year)
+			if t := q.store.types[pos]; t >= 0 {
+				row[t.Design()]++
+			}
+		})
+		return out
+	}, mergeNested)
 }
 
-// Resolutions returns the resolution times (hours) of matching reports.
+// nestedRow returns the inner map for k1, creating it on first use.
+func nestedRow[K1, K2 comparable](m map[K1]map[K2]int, k1 K1) map[K2]int {
+	row := m[k1]
+	if row == nil {
+		row = make(map[K2]int)
+		m[k1] = row
+	}
+	return row
+}
+
+// Resolutions returns the resolution times (hours) of matching reports:
+// in ID order on a plain store, in unspecified order on a sharded one
+// (percentile consumers sort anyway).
 func (q Query) Resolutions() []float64 {
-	var out []float64
-	q.forEach(func(_ int, r *Report) { out = append(out, r.Resolution) })
-	return out
+	return collect(q, func(q Query) []float64 {
+		var out []float64
+		q.forEach(func(_ int, r *Report) { out = append(out, r.Resolution) })
+		return out
+	}, concat)
 }
 
 // ResolutionsByDeviceType groups matching reports' resolution times by
 // device type in one pass (Figure 13's samples).
 func (q Query) ResolutionsByDeviceType() map[topology.DeviceType][]float64 {
-	out := make(map[topology.DeviceType][]float64)
-	q.forEach(func(pos int, r *Report) {
-		if t := q.store.types[pos]; t >= 0 {
-			out[t] = append(out[t], r.Resolution)
-		}
-	})
-	return out
+	return collect(q, func(q Query) map[topology.DeviceType][]float64 {
+		out := make(map[topology.DeviceType][]float64)
+		q.forEach(func(pos int, r *Report) {
+			if t := q.store.types[pos]; t >= 0 {
+				out[t] = append(out[t], r.Resolution)
+			}
+		})
+		return out
+	}, mergeSamples)
 }
 
 // ResolutionsByYear groups matching reports' resolution times by start
 // year in one pass (Figure 14's samples).
 func (q Query) ResolutionsByYear() map[int][]float64 {
-	out := make(map[int][]float64)
-	q.forEach(func(_ int, r *Report) { out[r.Year] = append(out[r.Year], r.Resolution) })
-	return out
+	return collect(q, func(q Query) map[int][]float64 {
+		out := make(map[int][]float64)
+		q.forEach(func(_ int, r *Report) { out[r.Year] = append(out[r.Year], r.Resolution) })
+		return out
+	}, mergeSamples)
 }
 
 // Starts returns the start times (hours since epoch) of matching reports
 // in ascending order.
 func (q Query) Starts() []float64 {
-	var out []float64
-	q.forEach(func(_ int, r *Report) { out = append(out, r.Start) })
-	sort.Float64s(out)
-	return out
+	return collect(q, func(q Query) []float64 {
+		var out []float64
+		q.forEach(func(_ int, r *Report) { out = append(out, r.Start) })
+		sort.Float64s(out)
+		return out
+	}, func(parts [][]float64) []float64 {
+		out := concat(parts)
+		sort.Float64s(out)
+		return out
+	})
 }

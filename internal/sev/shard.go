@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"dcnr/internal/obs"
-	"dcnr/internal/topology"
 )
 
 // Sharded partitions SEV reports across goroutine-owned stores: each
@@ -276,58 +275,28 @@ func (s *Sharded) ReadJSON(r io.Reader) error {
 	return nil
 }
 
-// Query starts a fan-out query over every shard. The builder mirrors
-// Store.Query; each aggregation dispatches the narrowed query to all
-// shard goroutines and merges the partial results.
-func (s *Sharded) Query() ShardedQuery { return ShardedQuery{s: s} }
+// Query starts a fan-out query over every shard: each aggregation runs
+// the narrowed query on all shard goroutines in parallel and merges the
+// partial results.
+func (s *Sharded) Query() Query { return Query{shards: s} }
 
-// ShardedQuery is a filtered fan-out view over a Sharded store's
-// reports. Like Query it is a value: narrowing returns a new one.
-type ShardedQuery struct {
-	s *Sharded
-	q Query
-}
-
-// Year narrows to incidents that started in the given calendar year.
-func (sq ShardedQuery) Year(y int) ShardedQuery { sq.q = sq.q.Year(y); return sq }
-
-// DeviceType narrows to incidents whose offending device has type t.
-func (sq ShardedQuery) DeviceType(t topology.DeviceType) ShardedQuery {
-	sq.q = sq.q.DeviceType(t)
-	return sq
-}
-
-// Severity narrows to incidents of the given level.
-func (sq ShardedQuery) Severity(v Severity) ShardedQuery { sq.q = sq.q.Severity(v); return sq }
-
-// Design narrows to incidents on devices of the given network design.
-func (sq ShardedQuery) Design(d topology.Design) ShardedQuery { sq.q = sq.q.Design(d); return sq }
-
-// RootCause narrows to incidents carrying the given root-cause category.
-func (sq ShardedQuery) RootCause(c RootCause) ShardedQuery { sq.q = sq.q.RootCause(c); return sq }
-
-// Since narrows to incidents starting at or after t (hours since epoch).
-func (sq ShardedQuery) Since(t float64) ShardedQuery { sq.q = sq.q.Since(t); return sq }
-
-// Until narrows to incidents starting strictly before t.
-func (sq ShardedQuery) Until(t float64) ShardedQuery { sq.q = sq.q.Until(t); return sq }
-
-// shardQuery runs fn with the query bound to every shard's store and
-// returns the per-shard results.
-func shardQuery[T any](sq ShardedQuery, fn func(Query) T) []T {
-	out := make([]T, len(sq.s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range sq.s.shards {
-		wg.Add(1)
-		i, sh := i, sh
-		sh.ops <- func(st *Store) {
-			defer wg.Done()
-			q := sq.q
-			q.store = st
-			out[i] = fn(q)
-		}
+// collect evaluates one aggregation for q: agg runs directly on a plain
+// store, or on every shard's owner goroutine in parallel with merge
+// combining the per-shard results.
+func collect[T any](q Query, agg func(Query) T, merge func([]T) T) T {
+	if q.shards == nil {
+		return agg(q)
 	}
-	wg.Wait()
+	parts := make([]T, len(q.shards.shards))
+	fanOutInto(q.shards, parts, func(st *Store) T { return agg(Query{store: st, f: q.f}) })
+	return merge(parts)
+}
+
+func concat[T any](parts [][]T) []T {
+	var out []T
+	for _, p := range parts {
+		out = append(out, p...)
+	}
 	return out
 }
 
@@ -345,11 +314,7 @@ func mergeNested[K1, K2 comparable](parts []map[K1]map[K2]int) map[K1]map[K2]int
 	out := make(map[K1]map[K2]int)
 	for _, p := range parts {
 		for k1, row := range p {
-			dst := out[k1]
-			if dst == nil {
-				dst = make(map[K2]int)
-				out[k1] = dst
-			}
+			dst := nestedRow(out, k1)
 			for k2, v := range row {
 				dst[k2] += v
 			}
@@ -365,85 +330,5 @@ func mergeSamples[K comparable](parts []map[K][]float64) map[K][]float64 {
 			out[k] = append(out[k], vs...)
 		}
 	}
-	return out
-}
-
-// Count returns the number of matching reports across all shards.
-func (sq ShardedQuery) Count() int {
-	n := 0
-	for _, c := range shardQuery(sq, Query.Count) {
-		n += c
-	}
-	return n
-}
-
-// CountByDeviceType groups matching reports by offending device type.
-func (sq ShardedQuery) CountByDeviceType() map[topology.DeviceType]int {
-	return mergeCounts(shardQuery(sq, Query.CountByDeviceType))
-}
-
-// CountBySeverity groups matching reports by severity level.
-func (sq ShardedQuery) CountBySeverity() map[Severity]int {
-	return mergeCounts(shardQuery(sq, Query.CountBySeverity))
-}
-
-// CountByYear groups matching reports by start year.
-func (sq ShardedQuery) CountByYear() map[int]int {
-	return mergeCounts(shardQuery(sq, Query.CountByYear))
-}
-
-// CountByRootCause groups matching reports by root-cause category.
-func (sq ShardedQuery) CountByRootCause() map[RootCause]int {
-	return mergeCounts(shardQuery(sq, Query.CountByRootCause))
-}
-
-// CountBySeverityDeviceType groups by severity and, within each level,
-// by device type.
-func (sq ShardedQuery) CountBySeverityDeviceType() map[Severity]map[topology.DeviceType]int {
-	return mergeNested(shardQuery(sq, Query.CountBySeverityDeviceType))
-}
-
-// CountByYearSeverity groups by start year and severity level.
-func (sq ShardedQuery) CountByYearSeverity() map[int]map[Severity]int {
-	return mergeNested(shardQuery(sq, Query.CountByYearSeverity))
-}
-
-// CountByYearDeviceType groups by start year and device type.
-func (sq ShardedQuery) CountByYearDeviceType() map[int]map[topology.DeviceType]int {
-	return mergeNested(shardQuery(sq, Query.CountByYearDeviceType))
-}
-
-// CountByYearDesign groups by start year and network design.
-func (sq ShardedQuery) CountByYearDesign() map[int]map[topology.Design]int {
-	return mergeNested(shardQuery(sq, Query.CountByYearDesign))
-}
-
-// Resolutions returns the resolution times (hours) of matching reports.
-// Order across shards is unspecified; percentile consumers sort anyway.
-func (sq ShardedQuery) Resolutions() []float64 {
-	var out []float64
-	for _, part := range shardQuery(sq, Query.Resolutions) {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// ResolutionsByDeviceType groups matching resolution times by device type.
-func (sq ShardedQuery) ResolutionsByDeviceType() map[topology.DeviceType][]float64 {
-	return mergeSamples(shardQuery(sq, Query.ResolutionsByDeviceType))
-}
-
-// ResolutionsByYear groups matching resolution times by start year.
-func (sq ShardedQuery) ResolutionsByYear() map[int][]float64 {
-	return mergeSamples(shardQuery(sq, Query.ResolutionsByYear))
-}
-
-// Starts returns the start times of matching reports in ascending order.
-func (sq ShardedQuery) Starts() []float64 {
-	var out []float64
-	for _, part := range shardQuery(sq, Query.Starts) {
-		out = append(out, part...)
-	}
-	sort.Float64s(out)
 	return out
 }

@@ -2,7 +2,9 @@ package sev
 
 import (
 	"fmt"
+	"net/url"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -71,8 +73,10 @@ func TestAddAllMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesStore cross-checks every fan-out aggregation against
-// a single Store loaded with the same reports.
+// TestShardedMatchesStore cross-checks every aggregation of the Query
+// surface, under every filter, between a Sharded store and a single Store
+// loaded with the same reports. Sample aggregations compare as sorted
+// multisets: their order across shards is unspecified.
 func TestShardedMatchesStore(t *testing.T) {
 	reports := shardReports(500, 0)
 	ref := NewStore()
@@ -87,43 +91,63 @@ func TestShardedMatchesStore(t *testing.T) {
 	if sh.Len() != ref.Len() {
 		t.Fatalf("sharded Len = %d, store Len = %d", sh.Len(), ref.Len())
 	}
+	where, err := ParseFilter(url.Values{"year": {"2014"}, "design": {"fabric"}, "since": {"100"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := []struct {
+		name   string
+		narrow func(Query) Query
+	}{
+		{"all", func(q Query) Query { return q }},
+		{"Year", func(q Query) Query { return q.Year(2013) }},
+		{"DeviceType", func(q Query) Query { return q.DeviceType(topology.CSW) }},
+		{"Severity", func(q Query) Query { return q.Severity(Sev2) }},
+		{"Design", func(q Query) Query { return q.Design(topology.DesignCluster) }},
+		{"RootCause", func(q Query) Query { return q.RootCause(Hardware) }},
+		// Window queries exercise the merged byStart index on every shard.
+		{"Since/Until", func(q Query) Query { return q.Since(50).Until(500) }},
+		{"Where", func(q Query) Query { return q.Where(where) }},
+	}
+	sorted := func(xs []float64) []float64 { sort.Float64s(xs); return xs }
+	aggs := []struct {
+		name string
+		run  func(Query) any
+	}{
+		{"Reports", func(q Query) any { return q.Reports() }},
+		{"Count", func(q Query) any { return q.Count() }},
+		{"CountByDeviceType", func(q Query) any { return q.CountByDeviceType() }},
+		{"CountBySeverity", func(q Query) any { return q.CountBySeverity() }},
+		{"CountByYear", func(q Query) any { return q.CountByYear() }},
+		{"CountByRootCause", func(q Query) any { return q.CountByRootCause() }},
+		{"CountBySeverityDeviceType", func(q Query) any { return q.CountBySeverityDeviceType() }},
+		{"CountByYearSeverity", func(q Query) any { return q.CountByYearSeverity() }},
+		{"CountByYearDeviceType", func(q Query) any { return q.CountByYearDeviceType() }},
+		{"CountByYearDesign", func(q Query) any { return q.CountByYearDesign() }},
+		{"Resolutions", func(q Query) any { return sorted(q.Resolutions()) }},
+		{"ResolutionsByDeviceType", func(q Query) any { return sortedSamples(q.ResolutionsByDeviceType()) }},
+		{"ResolutionsByYear", func(q Query) any { return sortedSamples(q.ResolutionsByYear()) }},
+		{"Starts", func(q Query) any { return q.Starts() }},
+	}
+	for _, f := range filters {
+		if f.narrow(ref.Query()).Count() == 0 {
+			t.Fatalf("filter %s matches nothing; the comparison would be vacuous", f.name)
+		}
+		for _, a := range aggs {
+			got := fmt.Sprint(a.run(f.narrow(sh.Query())))
+			want := fmt.Sprint(a.run(f.narrow(ref.Query())))
+			if got != want {
+				t.Errorf("%s.%s: sharded %s, store %s", f.name, a.name, got, want)
+			}
+		}
+	}
+}
 
-	refQ := ref.Query().Year(2013)
-	shQ := sh.Query().Year(2013)
-	if got, want := shQ.Count(), refQ.Count(); got != want {
-		t.Errorf("Year(2013).Count: sharded %d, store %d", got, want)
+func sortedSamples[K comparable](m map[K][]float64) map[K][]float64 {
+	for _, xs := range m {
+		sort.Float64s(xs)
 	}
-	if got, want := fmt.Sprint(shQ.CountBySeverity()), fmt.Sprint(refQ.CountBySeverity()); got != want {
-		t.Errorf("CountBySeverity: sharded %s, store %s", got, want)
-	}
-	if got, want := fmt.Sprint(sh.Query().CountByYear()), fmt.Sprint(ref.Query().CountByYear()); got != want {
-		t.Errorf("CountByYear: sharded %s, store %s", got, want)
-	}
-	if got, want := fmt.Sprint(sh.Query().CountByDeviceType()), fmt.Sprint(ref.Query().CountByDeviceType()); got != want {
-		t.Errorf("CountByDeviceType: sharded %s, store %s", got, want)
-	}
-	if got, want := fmt.Sprint(sh.Query().CountByRootCause()), fmt.Sprint(ref.Query().CountByRootCause()); got != want {
-		t.Errorf("CountByRootCause: sharded %s, store %s", got, want)
-	}
-	if got, want := fmt.Sprint(sh.Query().CountByYearSeverity()), fmt.Sprint(ref.Query().CountByYearSeverity()); got != want {
-		t.Errorf("CountByYearSeverity: sharded %s, store %s", got, want)
-	}
-	if got, want := fmt.Sprint(sh.Query().CountByYearDesign()), fmt.Sprint(ref.Query().CountByYearDesign()); got != want {
-		t.Errorf("CountByYearDesign: sharded %s, store %s", got, want)
-	}
-	// Sample aggregations: compare as multisets via sorted render.
-	if got, want := fmt.Sprint(sh.Query().Starts()), fmt.Sprint(ref.Query().Starts()); got != want {
-		t.Errorf("Starts: sharded %s, store %s", got, want)
-	}
-	refRes := refQ.Resolutions()
-	shRes := shQ.Resolutions()
-	if len(refRes) != len(shRes) {
-		t.Errorf("Resolutions length: sharded %d, store %d", len(shRes), len(refRes))
-	}
-	// Window queries exercise the merged byStart index on every shard.
-	if got, want := sh.Query().Since(50).Until(500).Count(), ref.Query().Since(50).Until(500).Count(); got != want {
-		t.Errorf("window Count: sharded %d, store %d", got, want)
-	}
+	return m
 }
 
 // TestShardedAddAllIDs pins the global ID contract: assigned IDs are

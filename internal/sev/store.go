@@ -183,20 +183,20 @@ func (s *Store) indexBatchLocked(from int) {
 	s.byStart = merged
 }
 
-// startRangeLocked returns the positions of reports with Start in the
-// half-open window [since, until), ordered by start time; a nil bound is
-// unbounded on that side. Caller holds mu.
-func (s *Store) startRangeLocked(since, until *float64) []int {
+// startRangeLocked returns the positions of reports with Start in f's
+// half-open window [since, until), ordered by start time; an unset bound
+// is unbounded on that side. Caller holds mu.
+func (s *Store) startRangeLocked(f *Filter) []int {
 	lo := 0
-	if since != nil {
+	if f.set&fSince != 0 {
 		lo = sort.Search(len(s.byStart), func(i int) bool {
-			return s.reports[s.byStart[i]].Start >= *since
+			return s.reports[s.byStart[i]].Start >= f.since
 		})
 	}
 	hi := len(s.byStart)
-	if until != nil {
+	if f.set&fUntil != 0 {
 		hi = sort.Search(len(s.byStart), func(i int) bool {
-			return s.reports[s.byStart[i]].Start >= *until
+			return s.reports[s.byStart[i]].Start >= f.until
 		})
 	}
 	if hi < lo {

@@ -245,9 +245,7 @@ func Run(cfg Config) (*Result, error) {
 		gWorkers  = o.Metrics.Gauge("sweep_active_workers")
 	)
 
-	stream := newOrderedWriter(cfg.Results, len(specs))
-	jstream := newOrderedWriter(cfg.Journal, len(specs))
-	tstream := newOrderedWriter(cfg.Timeline, len(specs))
+	out := newEmitter(len(specs), cfg.Results, cfg.Journal, cfg.Timeline)
 	// A journal stream or a live status table both need per-run journals;
 	// either alone turns journaling on for every run.
 	journaling := cfg.Journal != nil || cfg.Status != nil
@@ -325,8 +323,13 @@ func Run(cfg Config) (*Result, error) {
 		mRuns.Inc()
 		mFaults.Add(int64(stats.Faults))
 		mIncs.Add(int64(stats.Incidents))
-		if err := stream.write(i, &stats); err != nil {
-			return fmt.Errorf("sweep: run %d: streaming result: %w", spec.run, err)
+		var chunks [numStreams][]byte
+		if cfg.Results != nil {
+			line, err := json.Marshal(&stats)
+			if err != nil {
+				return fmt.Errorf("sweep: run %d: encoding result: %w", spec.run, err)
+			}
+			chunks[streamResults] = append(line, '\n')
 		}
 		if j := icfg.Observe.Journal; j != nil {
 			// One index serves both the JSONL chunk and the summary; the
@@ -334,31 +337,30 @@ func Run(cfg Config) (*Result, error) {
 			x := j.Index()
 			if cfg.Journal != nil {
 				// Serialize the run's journal as one chunk — a header line
-				// naming the run, then the records — streamed in run order.
+				// naming the run, then the records.
 				var buf bytes.Buffer
 				fmt.Fprintf(&buf, "{\"run\":%d,\"scenario\":%q,\"seed\":%d,\"scale\":%d,\"records\":%d}\n",
 					spec.run, spec.scenario.Name, spec.seed, spec.scale, x.Len())
 				if err := x.WriteJSONL(&buf); err != nil {
 					return fmt.Errorf("sweep: run %d: serializing journal: %w", spec.run, err)
 				}
-				if err := jstream.writeRaw(i, buf.Bytes()); err != nil {
-					return fmt.Errorf("sweep: run %d: streaming journal: %w", spec.run, err)
-				}
+				chunks[streamJournal] = buf.Bytes()
 			}
 			cfg.Status.setJournal(i, x.Summary())
 		}
 		if tl := icfg.Observe.Timeline; tl != nil && cfg.Timeline != nil {
 			// Serialize the run's timeline as one chunk — a header line
-			// naming the run, then the samples — streamed in run order.
+			// naming the run, then the samples.
 			var buf bytes.Buffer
 			fmt.Fprintf(&buf, "{\"run\":%d,\"scenario\":%q,\"seed\":%d,\"scale\":%d,\"samples\":%d}\n",
 				spec.run, spec.scenario.Name, spec.seed, spec.scale, tl.Len())
 			if err := tl.WriteJSONL(&buf); err != nil {
 				return fmt.Errorf("sweep: run %d: serializing timeline: %w", spec.run, err)
 			}
-			if err := tstream.writeRaw(i, buf.Bytes()); err != nil {
-				return fmt.Errorf("sweep: run %d: streaming timeline: %w", spec.run, err)
-			}
+			chunks[streamTimeline] = buf.Bytes()
+		}
+		if err := out.emit(i, chunks); err != nil {
+			return fmt.Errorf("sweep: run %d: %w", spec.run, err)
 		}
 		simHours := float64(spec.scenario.ToYear-spec.scenario.FromYear+1) * hoursPerYear
 		cfg.Status.done(i, &stats, probe.end(events, simHours))
@@ -389,7 +391,7 @@ func Run(cfg Config) (*Result, error) {
 	// The stream errors join the run error instead of being masked by it:
 	// a campaign that both lost a run and truncated its JSONL reports both,
 	// and a clean-looking abort can no longer hide a broken stream.
-	if err = errors.Join(err, flushErrs(stream, jstream, tstream)); err != nil {
+	if err = errors.Join(err, out.flushErrs()); err != nil {
 		return nil, err
 	}
 	return &Result{
@@ -399,83 +401,75 @@ func Run(cfg Config) (*Result, error) {
 	}, nil
 }
 
-// flushErrs collects the sticky stream errors from the results, journal,
-// and timeline streams, labeled by stream.
-func flushErrs(stream, jstream, tstream *orderedWriter) error {
+// The output streams of a campaign, in emitter slot order.
+const (
+	streamResults = iota
+	streamJournal
+	streamTimeline
+	numStreams
+)
+
+var streamNames = [numStreams]string{"results", "journal", "timeline"}
+
+// emitter streams every run's output — its result line, journal chunk and
+// timeline chunk — in run order no matter the completion order: run i's
+// chunks are held until runs 0..i-1 have been emitted, so each stream is
+// deterministic under concurrency while only out-of-order completions are
+// buffered. A nil writer skips its stream.
+type emitter struct {
+	mu      sync.Mutex
+	w       [numStreams]io.Writer
+	err     [numStreams]error
+	next    int
+	pending map[int][numStreams][]byte
+}
+
+func newEmitter(n int, results, journal, timeline io.Writer) *emitter {
+	return &emitter{
+		w:       [numStreams]io.Writer{results, journal, timeline},
+		pending: make(map[int][numStreams][]byte, n/8+1),
+	}
+}
+
+// emit enqueues run i's chunks, one per stream, and flushes every run that
+// is now contiguous. The first write error on a stream is sticky: the
+// stream takes no more writes and every later emit returns the error, so
+// one broken pipe fails the campaign instead of silently truncating the
+// stream, while the other streams carry on. The chunks are retained until
+// flushed; callers must not reuse them.
+func (e *emitter) emit(i int, chunks [numStreams][]byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.pending[i] = chunks
+	for {
+		c, ok := e.pending[e.next]
+		if !ok {
+			break
+		}
+		delete(e.pending, e.next)
+		for s, w := range e.w {
+			if w != nil && e.err[s] == nil && len(c[s]) > 0 {
+				_, e.err[s] = w.Write(c[s])
+			}
+		}
+		e.next++
+	}
+	return e.errsLocked("streaming")
+}
+
+// flushErrs collects the sticky stream errors, labeled by stream.
+func (e *emitter) flushErrs() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.errsLocked("sweep: streaming")
+}
+
+func (e *emitter) errsLocked(label string) error {
 	var errs []error
-	if err := stream.flushErr(); err != nil {
-		errs = append(errs, fmt.Errorf("sweep: streaming results: %w", err))
-	}
-	if err := jstream.flushErr(); err != nil {
-		errs = append(errs, fmt.Errorf("sweep: streaming journal: %w", err))
-	}
-	if err := tstream.flushErr(); err != nil {
-		errs = append(errs, fmt.Errorf("sweep: streaming timeline: %w", err))
+	for s, err := range e.err {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s %s: %w", label, streamNames[s], err))
+		}
 	}
 	return errors.Join(errs...)
-}
-
-// orderedWriter streams JSON lines in index order no matter the completion
-// order: line i is held until lines 0..i-1 have been written, so the JSONL
-// stream is deterministic under concurrency while only out-of-order
-// completions are buffered.
-type orderedWriter struct {
-	mu      sync.Mutex
-	w       io.Writer
-	next    int
-	pending map[int][]byte
-	err     error
-}
-
-func newOrderedWriter(w io.Writer, n int) *orderedWriter {
-	return &orderedWriter{w: w, pending: make(map[int][]byte, n/8+1)}
-}
-
-// write enqueues record i and flushes every line that is now contiguous.
-// The first underlying write error is sticky and returned to every later
-// caller, so one broken pipe fails the campaign instead of silently
-// truncating the stream.
-func (ow *orderedWriter) write(i int, record any) error {
-	if ow.w == nil {
-		return nil
-	}
-	line, err := json.Marshal(record)
-	if err != nil {
-		return err
-	}
-	return ow.writeRaw(i, append(line, '\n'))
-}
-
-// writeRaw enqueues a pre-serialized chunk for index i — one line or many —
-// with the same ordering and sticky-error contract as write. The chunk is
-// retained until flushed; callers must not reuse it.
-func (ow *orderedWriter) writeRaw(i int, chunk []byte) error {
-	if ow.w == nil {
-		return nil
-	}
-	ow.mu.Lock()
-	defer ow.mu.Unlock()
-	if ow.err != nil {
-		return ow.err
-	}
-	ow.pending[i] = chunk
-	for {
-		buf, ok := ow.pending[ow.next]
-		if !ok {
-			return nil
-		}
-		delete(ow.pending, ow.next)
-		if _, err := ow.w.Write(buf); err != nil {
-			ow.err = err
-			return err
-		}
-		ow.next++
-	}
-}
-
-// flushErr reports the sticky stream error, if any.
-func (ow *orderedWriter) flushErr() error {
-	ow.mu.Lock()
-	defer ow.mu.Unlock()
-	return ow.err
 }

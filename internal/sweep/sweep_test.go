@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -243,24 +244,36 @@ func TestSweepValidateClampsWorkers(t *testing.T) {
 	}
 }
 
-func TestOrderedWriterFlushesContiguousPrefix(t *testing.T) {
+// resultChunks is an emit payload carrying only a results line.
+func resultChunks(t *testing.T, record any) [numStreams][]byte {
+	t.Helper()
+	line, err := json.Marshal(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c [numStreams][]byte
+	c[streamResults] = append(line, '\n')
+	return c
+}
+
+func TestEmitterFlushesContiguousPrefix(t *testing.T) {
 	var buf bytes.Buffer
-	ow := newOrderedWriter(&buf, 4)
+	e := newEmitter(4, &buf, nil, nil)
 	type rec struct {
 		I int `json:"i"`
 	}
 	// Arrival order 2, 0, 3, 1 must still stream as 0, 1, 2, 3.
 	for _, i := range []int{2, 0, 3, 1} {
-		if err := ow.write(i, rec{I: i}); err != nil {
-			t.Fatalf("write(%d): %v", i, err)
+		if err := e.emit(i, resultChunks(t, rec{I: i})); err != nil {
+			t.Fatalf("emit(%d): %v", i, err)
 		}
 	}
 	want := "{\"i\":0}\n{\"i\":1}\n{\"i\":2}\n{\"i\":3}\n"
 	if buf.String() != want {
 		t.Errorf("stream = %q, want %q", buf.String(), want)
 	}
-	if err := ow.flushErr(); err != nil {
-		t.Errorf("flushErr: %v", err)
+	if err := e.flushErrs(); err != nil {
+		t.Errorf("flushErrs: %v", err)
 	}
 }
 
@@ -283,31 +296,53 @@ type brokenErr struct{}
 
 func (*brokenErr) Error() string { return "writer broken" }
 
-func TestOrderedWriterStickyError(t *testing.T) {
-	ow := newOrderedWriter(&failAfter{}, 3)
-	if err := ow.write(0, 0); err != nil {
-		t.Fatalf("first write: %v", err)
+func TestEmitterStickyError(t *testing.T) {
+	e := newEmitter(3, &failAfter{}, nil, nil)
+	if err := e.emit(0, resultChunks(t, 0)); err != nil {
+		t.Fatalf("first emit: %v", err)
 	}
-	if err := ow.write(1, 1); err == nil {
-		t.Fatalf("second write succeeded past a broken writer")
+	if err := e.emit(1, resultChunks(t, 1)); err == nil {
+		t.Fatalf("second emit succeeded past a broken writer")
 	}
-	if err := ow.write(2, 2); err == nil {
-		t.Fatalf("third write did not surface the sticky error")
+	if err := e.emit(2, resultChunks(t, 2)); err == nil {
+		t.Fatalf("third emit did not surface the sticky error")
 	}
-	if err := ow.flushErr(); err == nil {
-		t.Fatalf("flushErr lost the sticky error")
+	if err := e.flushErrs(); err == nil {
+		t.Fatalf("flushErrs lost the sticky error")
 	}
 }
 
-func TestOrderedWriterNilWriterIsNoop(t *testing.T) {
-	ow := newOrderedWriter(nil, 2)
+// TestEmitterStreamsFailIndependently: a broken stream keeps its error
+// and its label while the other streams keep flushing in run order.
+func TestEmitterStreamsFailIndependently(t *testing.T) {
+	var results, timeline bytes.Buffer
+	e := newEmitter(3, &results, &failAfter{}, &timeline)
+	for _, i := range []int{1, 0, 2} {
+		c := [numStreams][]byte{[]byte{'r', byte('0' + i)}, []byte{'j'}, []byte{'t', byte('0' + i)}}
+		_ = e.emit(i, c)
+	}
+	if results.String() != "r0r1r2" || timeline.String() != "t0t1t2" {
+		t.Errorf("healthy streams = %q, %q", results.String(), timeline.String())
+	}
+	err := e.flushErrs()
+	if !errors.Is(err, errWriterBroken) || !strings.Contains(err.Error(), "sweep: streaming journal:") {
+		t.Errorf("flushErrs = %v, want the labeled journal error", err)
+	}
+	if strings.Contains(err.Error(), "results") || strings.Contains(err.Error(), "timeline") {
+		t.Errorf("flushErrs blames a healthy stream: %v", err)
+	}
+}
+
+func TestEmitterNilWriterIsNoop(t *testing.T) {
+	e := newEmitter(2, nil, nil, nil)
+	chunks := [][numStreams][]byte{resultChunks(t, 0), resultChunks(t, 1)}
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := ow.write(i, i); err != nil {
-				t.Errorf("write(%d): %v", i, err)
+			if err := e.emit(i, chunks[i]); err != nil {
+				t.Errorf("emit(%d): %v", i, err)
 			}
 		}(i)
 	}
