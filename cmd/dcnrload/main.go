@@ -1,7 +1,7 @@
 // Command dcnrload is the load harness for dcnrd: it replays the paper-
 // figure-weighted query mix against a daemon at rising concurrency and
 // records throughput, latency percentiles, and cache hit rate per step —
-// the numbers behind BENCH_serve.json (make bench-serve).
+// the numbers behind BENCH_ledger.json's dcnrload rows (make bench).
 //
 // Usage:
 //
@@ -129,7 +129,7 @@ type stepResult struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 
-// benchReport is the BENCH_serve.json shape.
+// benchReport is the -out JSON shape.
 type benchReport struct {
 	Bench           string       `json:"bench"`
 	CPUs            int          `json:"cpus"`

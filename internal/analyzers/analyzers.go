@@ -123,12 +123,13 @@ func buildAllow(fset *token.FileSet, files []*ast.File) map[string]map[string]bo
 	return allow
 }
 
-// allowed reports whether the analyzer is suppressed at the given position:
-// a directive on the flagged line itself, or alone on the line above.
-func (p *Pass) allowed(pos token.Position) bool {
+// allowedAt reports whether analyzer name is suppressed at pos by a
+// directive in allow: one on the flagged line itself, or alone on the line
+// above.
+func allowedAt(allow map[string]map[string]bool, pos token.Position, name string) bool {
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		set := p.allow[fmt.Sprintf("%s:%d", pos.Filename, line)]
-		if set != nil && (set[p.Analyzer.Name] || set["*"]) {
+		set := allow[fmt.Sprintf("%s:%d", pos.Filename, line)]
+		if set != nil && (set[name] || set["*"]) {
 			return true
 		}
 	}
@@ -138,7 +139,7 @@ func (p *Pass) allowed(pos token.Position) bool {
 // Reportf records a finding at pos unless an allow directive covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if p.allowed(position) {
+	if allowedAt(p.allow, position, p.Analyzer.Name) {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{

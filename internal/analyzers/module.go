@@ -65,18 +65,6 @@ func (m *Module) Graph() *CallGraph {
 	return m.graph
 }
 
-// allowedAt reports whether analyzer name is suppressed at position by a
-// `//lint:allow` directive on the line or the line above.
-func (m *Module) allowedAt(pos token.Position, name string) bool {
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		set := m.allow[fmt.Sprintf("%s:%d", pos.Filename, line)]
-		if set != nil && (set[name] || set["*"]) {
-			return true
-		}
-	}
-	return false
-}
-
 // ModuleAnalyzer is one inter-procedural check. Run inspects the whole
 // module through pass and reports findings through pass.Reportf; it
 // returns an error only for infrastructure failures (a compiler
@@ -126,7 +114,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // hotalloc uses for compiler-reported diagnostics that never had a
 // token.Pos in our FileSet.
 func (p *ModulePass) reportAt(position token.Position, format string, args ...any) {
-	if p.Mod.allowedAt(position, p.Analyzer.Name) {
+	if allowedAt(p.Mod.allow, position, p.Analyzer.Name) {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
@@ -150,16 +138,6 @@ func (m *Module) Analyze(list []*ModuleAnalyzer) ([]Diagnostic, error) {
 	}
 	sortDiagnostics(diags)
 	return diags, nil
-}
-
-// AnalyzePackages runs per-package analyzers over every package.
-func (m *Module) AnalyzePackages(list []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range m.Pkgs {
-		diags = append(diags, pkg.Analyze(list)...)
-	}
-	sortDiagnostics(diags)
-	return diags
 }
 
 // Timing is one analyzer's (or the loader's) wall cost, reported by

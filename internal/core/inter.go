@@ -17,16 +17,13 @@ type InterAnalysis struct {
 	WindowHours float64
 
 	downs []tickets.Downtime
-	// edgeLinks maps each edge to its link names (from the backbone
-	// inventory — monitoring knows the topology even for links that never
-	// failed).
-	edgeLinks map[string][]string
+	// edges is the backbone inventory in topology order (monitoring knows
+	// the topology even for edges that never failed).
+	edges []backbone.Edge
+	// outages maps each edge to its outages, computed once at construction.
+	outages map[string][]interval
 	// vendorLinks counts each vendor's operated links.
 	vendorLinks map[string]int
-	edgeCont    map[string]backbone.Continent
-
-	// merged caches per-link merged downtime intervals.
-	merged map[string][]interval
 }
 
 type interval struct{ start, end float64 }
@@ -38,43 +35,36 @@ func NewInterAnalysis(topo *backbone.Topology, downs []tickets.Downtime, windowH
 	if windowHours <= 0 {
 		return nil, errors.New("core: non-positive observation window")
 	}
-	a := &InterAnalysis{
-		WindowHours: windowHours,
-		downs:       downs,
-		edgeLinks:   make(map[string][]string),
-		vendorLinks: make(map[string]int),
-		edgeCont:    make(map[string]backbone.Continent),
-		merged:      make(map[string][]interval),
-	}
-	for _, e := range topo.Edges {
-		for _, li := range e.Links {
-			a.edgeLinks[e.Name] = append(a.edgeLinks[e.Name], topo.Links[li].Name)
-		}
-		a.edgeCont[e.Name] = e.Continent
-	}
-	for _, l := range topo.Links {
-		a.vendorLinks[topo.Vendors[l.Vendor].Name]++
-	}
 	for _, d := range downs {
 		if d.Start < 0 || d.End > windowHours || d.End < d.Start {
 			return nil, fmt.Errorf("core: interval [%v, %v] outside window", d.Start, d.End)
 		}
 	}
-	a.mergePerLink()
-	return a, nil
-}
-
-// mergePerLink unions each link's (possibly overlapping) downtime
-// intervals: a cut and an independent failure can overlap, but the link is
-// simply down for the union.
-func (a *InterAnalysis) mergePerLink() {
+	a := &InterAnalysis{
+		WindowHours: windowHours,
+		downs:       downs,
+		edges:       topo.Edges,
+		outages:     make(map[string][]interval, len(topo.Edges)),
+		vendorLinks: make(map[string]int),
+	}
+	for _, l := range topo.Links {
+		a.vendorLinks[topo.Vendors[l.Vendor].Name]++
+	}
+	// Union each link's (possibly overlapping) downtime intervals: a cut
+	// and an independent failure can overlap, but the link is simply down
+	// for the union.
 	byLink := make(map[string][]interval)
-	for _, d := range a.downs {
+	for _, d := range downs {
 		byLink[d.Link] = append(byLink[d.Link], interval{d.Start, d.End})
 	}
-	for link, ivs := range byLink {
-		a.merged[link] = mergeIntervals(ivs)
+	merged := make([][]interval, len(topo.Links))
+	for i, l := range topo.Links {
+		merged[i] = mergeIntervals(byLink[l.Name])
 	}
+	for _, e := range topo.Edges {
+		a.outages[e.Name] = edgeOutages(e.Links, merged)
+	}
+	return a, nil
 }
 
 func mergeIntervals(ivs []interval) []interval {
@@ -96,10 +86,9 @@ func mergeIntervals(ivs []interval) []interval {
 	return out
 }
 
-// edgeOutages returns the intervals during which every link of the edge is
-// simultaneously down — the §6 definition of edge failure.
-func (a *InterAnalysis) edgeOutages(edge string) []interval {
-	links := a.edgeLinks[edge]
+// edgeOutages returns the intervals during which every one of an edge's
+// links is simultaneously down — the §6 definition of edge failure.
+func edgeOutages(links []int, merged [][]interval) []interval {
 	if len(links) == 0 {
 		return nil
 	}
@@ -111,7 +100,7 @@ func (a *InterAnalysis) edgeOutages(edge string) []interval {
 	}
 	var bs []boundary
 	for _, link := range links {
-		for _, iv := range a.merged[link] {
+		for _, iv := range merged[link] {
 			bs = append(bs, boundary{iv.start, +1}, boundary{iv.end, -1})
 		}
 	}
@@ -146,8 +135,7 @@ func (a *InterAnalysis) edgeOutages(edge string) []interval {
 // omitted (their MTBF is not measurable from this window).
 func (a *InterAnalysis) EdgeMTBF() map[string]float64 {
 	out := make(map[string]float64)
-	for edge := range a.edgeLinks {
-		outages := a.edgeOutages(edge)
+	for edge, outages := range a.outages {
 		if len(outages) < 2 {
 			continue
 		}
@@ -165,10 +153,10 @@ func (a *InterAnalysis) EdgeMTBF() map[string]float64 {
 // cross-run bands, computed from reconstructed tickets exactly like the
 // health engine's edge-availability SLO.
 func (a *InterAnalysis) EdgeAvailability() map[string]float64 {
-	out := make(map[string]float64, len(a.edgeLinks))
-	for edge := range a.edgeLinks {
+	out := make(map[string]float64, len(a.outages))
+	for edge, outages := range a.outages {
 		down := 0.0
-		for _, o := range a.edgeOutages(edge) {
+		for _, o := range outages {
 			down += o.end - o.start
 		}
 		out[edge] = 1 - down/a.WindowHours
@@ -179,8 +167,7 @@ func (a *InterAnalysis) EdgeAvailability() map[string]float64 {
 // EdgeMTTR returns each edge's mean outage duration in hours.
 func (a *InterAnalysis) EdgeMTTR() map[string]float64 {
 	out := make(map[string]float64)
-	for edge := range a.edgeLinks {
-		outages := a.edgeOutages(edge)
+	for edge, outages := range a.outages {
 		if len(outages) == 0 {
 			continue
 		}
@@ -277,8 +264,8 @@ type ContinentStats struct {
 // would systematically understate the most reliable continents.
 func (a *InterAnalysis) EdgeFailureRateMTBF() map[string]float64 {
 	out := make(map[string]float64)
-	for edge := range a.edgeLinks {
-		n := len(a.edgeOutages(edge))
+	for edge, outages := range a.outages {
+		n := len(outages)
 		if n == 0 {
 			continue
 		}
@@ -301,15 +288,17 @@ func (a *InterAnalysis) ByContinent() map[backbone.Continent]ContinentStats {
 	}
 	aggs := make(map[backbone.Continent]*agg)
 	total := 0
-	for edge, cont := range a.edgeCont {
-		g := aggs[cont]
+	// Walk the inventory in topology order so each continent's float sums
+	// add up in the same order on every call.
+	for _, e := range a.edges {
+		g := aggs[e.Continent]
 		if g == nil {
 			g = &agg{}
-			aggs[cont] = g
+			aggs[e.Continent] = g
 		}
 		g.edges++
 		total++
-		for _, o := range a.edgeOutages(edge) {
+		for _, o := range a.outages[e.Name] {
 			g.outages++
 			g.downHours += o.end - o.start
 		}
@@ -333,9 +322,9 @@ func (a *InterAnalysis) ByContinent() map[backbone.Continent]ContinentStats {
 // edges.
 func (a *InterAnalysis) ConditionalRisk() map[string]float64 {
 	out := make(map[string]float64)
-	for edge := range a.edgeLinks {
+	for edge, outages := range a.outages {
 		downSum := 0.0
-		for _, o := range a.edgeOutages(edge) {
+		for _, o := range outages {
 			downSum += o.end - o.start
 		}
 		out[edge] = downSum / a.WindowHours

@@ -105,7 +105,7 @@ func TestEdgeOutagesRequireAllLinksDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outages := a.edgeOutages(edge.Name)
+	outages := a.outages[edge.Name]
 	if len(outages) != 1 {
 		t.Fatalf("outages = %v, want exactly one", outages)
 	}

@@ -321,7 +321,7 @@ func benchIterate(s *Simulator, times []float64) {
 
 func BenchmarkObsScheduleAndRunInstrumented(b *testing.B) {
 	// The metrics-only counterpart of BenchmarkScheduleAndRun: the delta is
-	// the kernel-level instrumentation overhead bench_obs.sh tracks.
+	// the kernel-level instrumentation overhead scripts/bench.sh records.
 	r := simrand.New(1)
 	times := make([]float64, 10000)
 	for i := range times {
