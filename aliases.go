@@ -170,15 +170,14 @@ type SEVQuery = sev.Query
 // NewSEVStore returns an empty SEV store.
 func NewSEVStore() *SEVStore { return sev.NewStore() }
 
-// ShardedSEVStore partitions a SEV dataset across goroutine-owned
-// shards: ingest distributes reports round-robin, queries fan out to
-// every shard and merge. It is the store behind the dcnrd daemon; use
-// it directly when ingest and queries must overlap without a global
-// lock. Close stops the shard goroutines.
+// ShardedSEVStore partitions a SEV dataset across n SEVStores: ingest
+// routes each report to a shard by its ID, queries fan out to every
+// shard and merge. It is the store behind the dcnrd daemon; use it
+// directly when ingest and queries must overlap without a global lock.
 type ShardedSEVStore = sev.Sharded
 
-// NewShardedSEVStore returns a sharded SEV store with n shard
-// goroutines (n < 1 is treated as 1).
+// NewShardedSEVStore returns a sharded SEV store with n shards (n < 1 is
+// treated as 1).
 func NewShardedSEVStore(n int) *ShardedSEVStore { return sev.NewSharded(n) }
 
 // ServeConfig parameterizes a SEV query daemon: listen address, shard

@@ -53,7 +53,7 @@ import (
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address (\":0\" binds a free port)")
-	flag.IntVar(&o.shards, "shards", runtime.GOMAXPROCS(0), "store shard count (one query goroutine per shard)")
+	flag.IntVar(&o.shards, "shards", runtime.GOMAXPROCS(0), "store shard count (queries fan out across shards)")
 	flag.IntVar(&o.cache, "cache", serve.DefaultCacheEntries, "result cache capacity in entries")
 	flag.StringVar(&o.sevs, "sevs", "", "load this SEV dataset file (sevs.json) at startup")
 	flag.BoolVar(&o.simulate, "simulate", false, "generate the dataset in-process with the study simulation")
@@ -88,8 +88,7 @@ type options struct {
 // ready (when non-nil) receives the bound address once the listener is
 // up — the e2e test's hook for ":0". Teardown order matters: stop the
 // sampler, close the timeline so SSE subscribers end, then shut the
-// daemon down (severing connections, joining the serving goroutine, and
-// stopping the shard goroutines).
+// daemon down (severing connections and joining the serving goroutine).
 func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan os.Signal) error {
 	reg := dcnr.NewMetricsRegistry()
 	var logger *slog.Logger

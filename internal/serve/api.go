@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -265,6 +266,10 @@ func resolutionsBody(q sev.Query, by string) (any, error) {
 	return out, nil
 }
 
+// maxIngestBytes caps a POST /ingest body, some 30,000 reports; a longer
+// one is answered 413. Whole datasets load through LoadJSON instead.
+const maxIngestBytes = 8 << 20
+
 // handleIngest is POST /ingest: a JSON array of reports ingested as one
 // batch (IDs assigned when zero, duplicates rejected atomically),
 // bumping the dataset generation — which invalidates every cached
@@ -275,8 +280,12 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var reports []sev.Report
-	if err := json.NewDecoder(r.Body).Decode(&reports); err != nil {
-		http.Error(w, "decoding batch: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes)).Decode(&reports); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "decoding batch: "+err.Error(), code)
 		return
 	}
 	ids, err := d.store.AddAll(reports)

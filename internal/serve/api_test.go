@@ -259,6 +259,23 @@ func TestDaemonIngestRejectsBadBatch(t *testing.T) {
 	}
 }
 
+// TestDaemonIngestBodyCap pins the /ingest size bound: a body past
+// maxIngestBytes is answered 413 and ingests nothing. The body is one
+// unfinished JSON array, so the decoder reads until the cap trips.
+func TestDaemonIngestBodyCap(t *testing.T) {
+	d, _ := startDaemon(t, Config{Shards: 2}, 10)
+	gen := d.Generation()
+	body := strings.NewReader("[" + strings.Repeat(" ", maxIngestBytes))
+	rec := httptest.NewRecorder()
+	d.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/ingest", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-cap body: %d %s, want 413", rec.Code, rec.Body)
+	}
+	if d.Generation() != gen || d.Store().Len() != 10 {
+		t.Errorf("over-cap body moved the dataset: generation %d -> %d, %d reports", gen, d.Generation(), d.Store().Len())
+	}
+}
+
 // TestDaemonStatsAndMetrics checks /stats counters and the serve_*
 // series when a registry is attached.
 func TestDaemonStatsAndMetrics(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 // when Config.CacheEntries is zero.
 const DefaultCacheEntries = 1024
 
-// MaxShards bounds the partition count: shards are goroutine-owned, so a
-// shard count wildly beyond any machine's core count only adds fan-out
-// overhead.
+// MaxShards bounds the partition count: every query fans out to every
+// shard, so a shard count wildly beyond any machine's core count only
+// adds fan-out overhead.
 const MaxShards = 256
 
 // Config configures the SEV query daemon. The zero value is runnable:
@@ -25,9 +25,9 @@ type Config struct {
 	// Addr is the listen address ("host:port"); empty means ":0", an
 	// OS-assigned port.
 	Addr string
-	// Shards is the number of goroutine-owned store partitions queries
-	// fan out across; 0 means one per CPU (GOMAXPROCS). Negative or
-	// beyond MaxShards is rejected.
+	// Shards is the number of store partitions queries fan out across;
+	// 0 means one per CPU (GOMAXPROCS). Negative or beyond MaxShards is
+	// rejected.
 	Shards int
 	// CacheEntries bounds the LRU result cache (responses keyed by
 	// normalized query + dataset generation); 0 means

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"dcnr/internal/obs"
@@ -35,14 +34,12 @@ type Daemon struct {
 	mQueries, mHits, mMisses, mNotModified *obs.Counter
 	mIngestReports, mIngestBatches         *obs.Counter
 	hLatency                               *obs.Histogram
-
-	shutdownOnce sync.Once
 }
 
 // NewDaemon validates cfg (normalizing defaults in place per the
 // Config.Validate contract), builds the sharded store, and mounts the
 // query API plus the full introspection suite on a new Server. The
-// daemon owns the store and the server: Shutdown releases both.
+// daemon owns the store and the server: Shutdown stops the server.
 func NewDaemon(cfg *Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -99,15 +96,9 @@ func (d *Daemon) Start() (string, error) { return d.srv.Start() }
 // Addr returns the bound address after Start.
 func (d *Daemon) Addr() string { return d.srv.Addr() }
 
-// Shutdown stops the HTTP server (severing live connections and joining
-// the serving goroutine) and then stops the shard goroutines.
-// Idempotent.
-func (d *Daemon) Shutdown() {
-	d.shutdownOnce.Do(func() {
-		d.srv.Shutdown()
-		d.store.Close()
-	})
-}
+// Shutdown stops the HTTP server, severing live connections and joining
+// the serving goroutine. Idempotent.
+func (d *Daemon) Shutdown() { d.srv.Shutdown() }
 
 // Generation returns the store's dataset generation.
 func (d *Daemon) Generation() uint64 { return d.store.Generation() }

@@ -33,6 +33,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dcnr/internal/obs"
 	"dcnr/internal/obs/health"
@@ -69,6 +70,10 @@ type Options struct {
 	// serves only what Register mounts.
 	Introspection bool
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled connection cannot hold a server goroutine open.
+const readHeaderTimeout = 10 * time.Second
 
 // Server is the unified HTTP serving API. Create with New, mount routes
 // with Register, run with Start, and release with Shutdown. A nil Server
@@ -146,7 +151,8 @@ func (s *Server) Start() (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
+	// No ReadTimeout or WriteTimeout: either would cut SSE streams.
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	s.done = make(chan struct{})
 	go func() {
 		defer close(s.done)

@@ -22,8 +22,8 @@ import (
 // sev_queries_indexed_total vs sev_queries_scan_total, so scan regressions
 // show up in metrics instead of only in latency.
 //
-// A query over a Sharded store runs each aggregation on every shard's
-// goroutine in parallel and merges the partial results (collect).
+// A query over a Sharded store runs each aggregation on every shard in
+// parallel and merges the partial results (collect).
 type Query struct {
 	store  *Store
 	shards *Sharded
@@ -186,15 +186,14 @@ func (q Query) forEach(fn func(pos int, r *Report)) {
 
 // Reports returns the matching reports in ID order.
 func (q Query) Reports() []Report {
-	return collect(q, func(q Query) []Report {
+	out := collect(q, func(q Query) []Report {
 		var out []Report
 		q.forEach(func(_ int, r *Report) { out = append(out, *r) })
 		return out
-	}, func(parts [][]Report) []Report {
-		out := concat(parts)
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		return out
-	})
+	}, concat)
+	// Positions follow ingest order, which explicit IDs need not.
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Count returns the number of matching reports.

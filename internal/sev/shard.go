@@ -2,25 +2,22 @@ package sev
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"hash"
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"dcnr/internal/obs"
 )
 
-// Sharded partitions SEV reports across goroutine-owned stores: each
-// shard is a private *Store driven by a single owner goroutine that
-// executes operations sent over its channel, so no query or ingest ever
-// contends on a store-wide lock. Queries fan out to every shard in
-// parallel and merge the partial aggregates; ingest assigns globally
-// unique IDs up front and distributes the batch round-robin.
+// Sharded partitions SEV reports across n plain Stores, routing each
+// report by its ID to shard ((id % n) + n) % n. Each shard's own RWMutex
+// is the only thing guarding it: a query reads every shard in parallel
+// and merges the partial aggregates, and concurrent queries share a shard
+// under its read lock. Ingest is serialized by ingestMu, so the shards'
+// ID indexes together are the global duplicate set.
 //
 // The dataset generation (Generation) is bumped once per successful
 // ingest batch — the serve layer keys its result cache on it, so a bump
@@ -28,63 +25,39 @@ import (
 // counts batches, so two stores holding different data can share one;
 // Epoch tells them apart.
 //
-// A Sharded must be created with NewSharded and released with Close;
-// operations after Close panic.
+// A Sharded must be created with NewSharded.
 type Sharded struct {
-	shards []*shard
-	wg     sync.WaitGroup
+	shards []*Store
 	gen    atomic.Uint64
 	epoch  atomic.Uint64
 
-	// ingestMu serializes ingest only — queries never touch it. ids holds
-	// every assigned or explicit report ID for global duplicate rejection;
-	// digest is the running content hash behind epoch.
+	// ingestMu serializes ingest only — queries never touch it. nextID is
+	// the next fresh report ID; digest is the running content hash behind
+	// epoch.
 	ingestMu sync.Mutex
-	ids      map[int]bool
 	nextID   int
 	digest   hash.Hash64
 }
 
-// shard is one goroutine-owned partition. Only the owner goroutine
-// touches store once the shard is running.
-type shard struct {
-	store *Store
-	ops   chan func(*Store)
-}
-
 // NewSharded returns a sharded store with n partitions (n < 1 is treated
-// as 1), each owned by its own goroutine.
+// as 1).
 func NewSharded(n int) *Sharded {
-	if n < 1 {
-		n = 1
-	}
-	s := &Sharded{ids: make(map[int]bool), nextID: 1, digest: fnv.New64a()}
-	s.shards = make([]*shard, n)
+	s := &Sharded{shards: make([]*Store, max(n, 1)), nextID: 1, digest: fnv.New64a()}
 	for i := range s.shards {
-		sh := &shard{store: NewStore(), ops: make(chan func(*Store), 16)}
-		s.shards[i] = sh
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for op := range sh.ops {
-				op(sh.store)
-			}
-		}()
+		s.shards[i] = NewStore()
 	}
 	return s
 }
 
-// Close stops every shard goroutine and waits for them to drain. No
-// operation may be issued after (or concurrently with) Close.
-func (s *Sharded) Close() {
-	for _, sh := range s.shards {
-		close(sh.ops)
-	}
-	s.wg.Wait()
-}
-
 // Shards returns the partition count.
 func (s *Sharded) Shards() int { return len(s.shards) }
+
+// shardOf returns the index of the shard that holds, or will hold, the
+// report with the given ID; negative IDs route like any other.
+func (s *Sharded) shardOf(id int) int {
+	n := len(s.shards)
+	return ((id % n) + n) % n
+}
 
 // Generation returns the dataset generation: bumped once per successful
 // AddAll or ReadJSON batch.
@@ -103,122 +76,64 @@ func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 // engine; counters are atomic, so the shards aggregate into the same
 // series. reg may be nil.
 func (s *Sharded) Instrument(reg *obs.Registry) {
-	s.fanOut(func(st *Store) int { st.Instrument(reg); return 0 })
-}
-
-// fanOutInto runs fn against every shard's store in parallel (each on
-// its owner goroutine), writing the per-shard results into out in shard
-// order.
-func fanOutInto[T any](s *Sharded, out []T, fn func(*Store) T) {
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		i, sh := i, sh
-		sh.ops <- func(st *Store) {
-			defer wg.Done()
-			out[i] = fn(st)
-		}
+	for _, st := range s.shards {
+		st.Instrument(reg)
 	}
-	wg.Wait()
 }
 
-func (s *Sharded) fanOut(fn func(*Store) int) []int {
-	out := make([]int, len(s.shards))
-	fanOutInto(s, out, fn)
-	return out
+// fanOut runs fn on every shard in parallel — shard 0 on the caller's
+// goroutine, each other shard on a goroutine of its own — and returns
+// once all have finished.
+func (s *Sharded) fanOut(fn func(i int, st *Store)) {
+	var wg sync.WaitGroup
+	for i, st := range s.shards[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i+1, st)
+		}()
+	}
+	fn(0, s.shards[0])
+	wg.Wait()
 }
 
 // Len returns the total number of stored reports across all shards.
 func (s *Sharded) Len() int {
 	n := 0
-	for _, c := range s.fanOut(func(st *Store) int { return st.Len() }) {
-		n += c
+	for _, st := range s.shards {
+		n += st.Len()
 	}
 	return n
 }
 
-// Get returns the report with the given ID from whichever shard holds it.
-func (s *Sharded) Get(id int) (Report, error) {
-	type hit struct {
-		r  Report
-		ok bool
-	}
-	out := make([]hit, len(s.shards))
-	fanOutInto(s, out, func(st *Store) hit {
-		r, err := st.Get(id)
-		return hit{r, err == nil}
-	})
-	for _, h := range out {
-		if h.ok {
-			return h.r, nil
-		}
-	}
-	return Report{}, fmt.Errorf("sev: no report with ID %d", id)
-}
+// Get returns the report with the given ID from the shard that holds it.
+func (s *Sharded) Get(id int) (Report, error) { return s.shards[s.shardOf(id)].Get(id) }
 
 // AddAll validates the batch, assigns globally unique IDs (a report with
 // ID 0 gets a fresh one; explicit IDs are preserved and rejected on
-// collision), distributes the reports round-robin across the shards, and
-// bumps the dataset generation. On error nothing is ingested. It returns
-// the assigned IDs in input order.
+// collision), routes each report to its ID's shard, and bumps the
+// dataset generation. On error nothing is ingested. It returns the
+// assigned IDs in input order.
 func (s *Sharded) AddAll(batch []Report) ([]int, error) {
-	for i := range batch {
-		if err := batch[i].Validate(); err != nil {
-			return nil, fmt.Errorf("sev: report %d invalid: %w", batch[i].ID, err)
-		}
+	if err := validateBatch(batch); err != nil {
+		return nil, err
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	seen := make(map[int]bool, len(batch))
-	for i := range batch {
-		if id := batch[i].ID; id != 0 {
-			if s.ids[id] || seen[id] {
-				return nil, fmt.Errorf("sev: duplicate report ID %d in batch", id)
-			}
-			seen[id] = true
-		}
+	taken := func(id int) bool { return s.shards[s.shardOf(id)].has(id) }
+	numbered, ids, err := numberBatch(nil, batch, &s.nextID, taken)
+	if err != nil {
+		return nil, err
 	}
-	ids := make([]int, len(batch))
 	chunks := make([][]Report, len(s.shards))
-	for i := range batch {
-		r := batch[i]
-		if r.ID == 0 {
-			for seen[s.nextID] || s.ids[s.nextID] {
-				s.nextID++
-			}
-			r.ID = s.nextID
-			s.nextID++
-		} else if r.ID >= s.nextID {
-			s.nextID = r.ID + 1
-		}
-		ids[i] = r.ID
-		s.ids[r.ID] = true
-		w := i % len(chunks)
-		chunks[w] = append(chunks[w], r)
+	for _, r := range numbered {
+		i := s.shardOf(r.ID)
+		chunks[i] = append(chunks[i], r)
 	}
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		if len(chunks[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		i, sh := i, sh
-		sh.ops <- func(st *Store) {
-			defer wg.Done()
-			_, errs[i] = st.AddAll(chunks[i])
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// Unreachable: validation and global ID dedup already passed.
-			return nil, err
-		}
-	}
+	s.fanOut(func(i int, st *Store) { st.appendNumbered(chunks[i]) })
 	var key []byte
-	for i := range batch {
-		key = appendReportKey(key[:0], &batch[i], ids[i])
+	for i := range numbered {
+		key = appendReportKey(key[:0], &numbered[i])
 		_, _ = s.digest.Write(key) // hash.Hash writes never fail
 	}
 	s.epoch.Store(s.digest.Sum64())
@@ -227,13 +142,13 @@ func (s *Sharded) AddAll(batch []Report) ([]int, error) {
 }
 
 // appendReportKey appends a length-prefixed binary encoding of every
-// field of r, with id standing in for r.ID — the bytes Epoch hashes.
-func appendReportKey(b []byte, r *Report, id int) []byte {
+// field of r — the bytes Epoch hashes.
+func appendReportKey(b []byte, r *Report) []byte {
 	u := binary.LittleEndian.AppendUint64
 	str := func(b []byte, s string) []byte {
 		return append(u(b, uint64(len(s))), s...)
 	}
-	b = u(b, uint64(id))
+	b = u(b, uint64(r.ID))
 	b = u(b, uint64(r.Severity))
 	b = str(b, r.Device)
 	b = u(b, uint64(len(r.RootCauses)))
@@ -258,37 +173,33 @@ func appendReportKey(b []byte, r *Report, id int) []byte {
 	return str(b, r.Reviewer)
 }
 
-// ReadJSON ingests the reports decoded from r as one batch, preserving
-// explicit IDs with the same duplicate-rejection semantics as
-// Store.ReadJSON. Unlike Store.ReadJSON it appends to the current
-// dataset rather than replacing it; call it on a fresh Sharded for a
-// whole-dataset load.
+// ReadJSON ingests the reports decoded from r as one batch, in ascending
+// ID order, with the same ID rules as Store.ReadJSON. Unlike
+// Store.ReadJSON it appends to the current dataset rather than replacing
+// it; call it on a fresh Sharded for a whole-dataset load.
 func (s *Sharded) ReadJSON(r io.Reader) error {
-	var reports []Report
-	if err := json.NewDecoder(r).Decode(&reports); err != nil {
-		return fmt.Errorf("sev: decoding dataset: %w", err)
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
-	if _, err := s.AddAll(reports); err != nil {
+	reports, err := decodeDataset(r)
+	if err != nil {
 		return err
 	}
-	return nil
+	_, err = s.AddAll(reports)
+	return err
 }
 
 // Query starts a fan-out query over every shard: each aggregation runs
-// the narrowed query on all shard goroutines in parallel and merges the
-// partial results.
+// the narrowed query on all shards in parallel and merges the partial
+// results.
 func (s *Sharded) Query() Query { return Query{shards: s} }
 
 // collect evaluates one aggregation for q: agg runs directly on a plain
-// store, or on every shard's owner goroutine in parallel with merge
-// combining the per-shard results.
+// store, or on every shard in parallel with merge combining the
+// per-shard results.
 func collect[T any](q Query, agg func(Query) T, merge func([]T) T) T {
 	if q.shards == nil {
 		return agg(q)
 	}
 	parts := make([]T, len(q.shards.shards))
-	fanOutInto(q.shards, parts, func(st *Store) T { return agg(Query{store: st, f: q.f}) })
+	q.shards.fanOut(func(i int, st *Store) { parts[i] = agg(Query{store: st, f: q.f}) })
 	return merge(parts)
 }
 

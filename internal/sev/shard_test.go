@@ -1,7 +1,10 @@
 package sev
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/url"
 	"reflect"
 	"sort"
@@ -68,28 +71,32 @@ func TestAddAllMatchesAdd(t *testing.T) {
 	if got, want := fmt.Sprint(batch.Query().Starts()), fmt.Sprint(one.Query().Starts()); got != want {
 		t.Error("Starts diverged between AddAll and Add stores")
 	}
-	if g := batch.Generation(); g != 4 {
-		t.Errorf("generation after 4 batches = %d, want 4", g)
-	}
 }
 
 // TestShardedMatchesStore cross-checks every aggregation of the Query
-// surface, under every filter, between a Sharded store and a single Store
-// loaded with the same reports. Sample aggregations compare as sorted
-// multisets: their order across shards is unspecified.
+// surface, under every filter, between Sharded stores of 1, 2, 3 and 8
+// shards and a single Store fed the same batches: assigned IDs, an
+// explicit-ID batch that routes wholly to one shard, and a negative
+// explicit ID. Sample aggregations compare as sorted multisets: their
+// order across shards is unspecified.
 func TestShardedMatchesStore(t *testing.T) {
-	reports := shardReports(500, 0)
+	// Every explicit ID in the second batch is 5 mod 24, so it lands on
+	// shard 5 % n for each n under test (24 is their least common multiple).
+	oneShard := shardReports(20, 500)
+	for i := range oneShard {
+		oneShard[i].ID = 24*(30+i) + 5
+	}
+	negative := shardReports(2, 600)
+	negative[0].ID = -7
+	batches := [][]Report{shardReports(500, 0), oneShard, negative}
 	ref := NewStore()
-	if _, err := ref.AddAll(reports); err != nil {
-		t.Fatal(err)
-	}
-	sh := NewSharded(4)
-	defer sh.Close()
-	if _, err := sh.AddAll(reports); err != nil {
-		t.Fatal(err)
-	}
-	if sh.Len() != ref.Len() {
-		t.Fatalf("sharded Len = %d, store Len = %d", sh.Len(), ref.Len())
+	var refIDs [][]int
+	for _, b := range batches {
+		ids, err := ref.AddAll(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refIDs = append(refIDs, ids)
 	}
 	where, err := ParseFilter(url.Values{"year": {"2014"}, "design": {"fabric"}, "since": {"100"}})
 	if err != nil {
@@ -129,17 +136,48 @@ func TestShardedMatchesStore(t *testing.T) {
 		{"ResolutionsByYear", func(q Query) any { return sortedSamples(q.ResolutionsByYear()) }},
 		{"Starts", func(q Query) any { return q.Starts() }},
 	}
-	for _, f := range filters {
-		if f.narrow(ref.Query()).Count() == 0 {
-			t.Fatalf("filter %s matches nothing; the comparison would be vacuous", f.name)
-		}
-		for _, a := range aggs {
-			got := fmt.Sprint(a.run(f.narrow(sh.Query())))
-			want := fmt.Sprint(a.run(f.narrow(ref.Query())))
-			if got != want {
-				t.Errorf("%s.%s: sharded %s, store %s", f.name, a.name, got, want)
+	for _, n := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			sh := NewSharded(n)
+			for i, b := range batches {
+				before := sh.shards[5%n].Len()
+				ids, err := sh.AddAll(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(ids) != fmt.Sprint(refIDs[i]) {
+					t.Errorf("batch %d: sharded IDs %v, store IDs %v", i, ids, refIDs[i])
+				}
+				if i == 1 && sh.shards[5%n].Len()-before != len(b) {
+					t.Errorf("explicit batch did not land wholly on shard %d", 5%n)
+				}
 			}
-		}
+			if sh.Len() != ref.Len() {
+				t.Fatalf("sharded Len = %d, store Len = %d", sh.Len(), ref.Len())
+			}
+			for _, want := range ref.All() {
+				if got, err := sh.Get(want.ID); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("Get(%d) = %+v, %v; want %+v", want.ID, got, err, want)
+				}
+			}
+			for _, id := range []int{0, 501, -8, math.MaxInt, math.MinInt} {
+				if _, err := sh.Get(id); err == nil {
+					t.Errorf("Get(%d) of a missing ID succeeded", id)
+				}
+			}
+			for _, f := range filters {
+				if f.narrow(ref.Query()).Count() == 0 {
+					t.Fatalf("filter %s matches nothing; the comparison would be vacuous", f.name)
+				}
+				for _, a := range aggs {
+					got := fmt.Sprint(a.run(f.narrow(sh.Query())))
+					want := fmt.Sprint(a.run(f.narrow(ref.Query())))
+					if got != want {
+						t.Errorf("%s.%s: sharded %s, store %s", f.name, a.name, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -155,7 +193,6 @@ func sortedSamples[K comparable](m map[K][]float64) map[K][]float64 {
 // rejected without partial ingest.
 func TestShardedAddAllIDs(t *testing.T) {
 	sh := NewSharded(3)
-	defer sh.Close()
 	ids, err := sh.AddAll(shardReports(10, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +239,6 @@ func TestShardedAddAllIDs(t *testing.T) {
 // does not.
 func TestShardedGeneration(t *testing.T) {
 	sh := NewSharded(2)
-	defer sh.Close()
 	if g := sh.Generation(); g != 0 {
 		t.Fatalf("fresh generation = %d", g)
 	}
@@ -227,7 +263,6 @@ func TestShardedGeneration(t *testing.T) {
 // must be data-race free and observe consistent (monotonic) counts.
 func TestShardedIngestWhileQuerying(t *testing.T) {
 	sh := NewSharded(4)
-	defer sh.Close()
 	if _, err := sh.AddAll(shardReports(100, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +332,6 @@ func TestShardedEpochIsAContentHash(t *testing.T) {
 	epochOf := func(shards int, batches ...[]Report) (gen, epoch uint64) {
 		t.Helper()
 		s := NewSharded(shards)
-		defer s.Close()
 		for _, b := range batches {
 			if _, err := s.AddAll(b); err != nil {
 				t.Fatal(err)
@@ -356,4 +390,51 @@ func TestShardedEpochIsAContentHash(t *testing.T) {
 	if _, e := epochOf(2, base, shardReports(1, 99)); e == epoch {
 		t.Error("a second batch left the epoch unchanged")
 	}
+}
+
+// FuzzReadJSON feeds one dataset to Store.ReadJSON and to a three-shard
+// Sharded.ReadJSON. Both must accept it or both reject it; once both
+// accept, they must hold the same reports under the same IDs.
+func FuzzReadJSON(f *testing.F) {
+	dataset := func(ids ...int) []byte {
+		reports := shardReports(len(ids), 0)
+		for i := range reports {
+			reports[i].ID = ids[i]
+		}
+		b, err := json.Marshal(reports)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(dataset(1, 2, 3, 4, 5, 6))
+	f.Add(dataset(1, 2, 2))
+	f.Add(dataset(0, 0, 3, 1))
+	f.Add(dataset(-4, 2, -1, 0))
+	f.Add(dataset(9, 3, 7, 1))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, sh := NewStore(), NewSharded(3)
+		errSt, errSh := st.ReadJSON(bytes.NewReader(data)), sh.ReadJSON(bytes.NewReader(data))
+		if (errSt == nil) != (errSh == nil) {
+			t.Fatalf("Store.ReadJSON: %v; Sharded.ReadJSON: %v", errSt, errSh)
+		}
+		if errSt != nil {
+			return
+		}
+		if st.Len() != sh.Len() {
+			t.Fatalf("Store Len %d, Sharded Len %d", st.Len(), sh.Len())
+		}
+		want := st.Query().Reports()
+		if got := sh.Query().Reports(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Reports differ:\nsharded %+v\nstore   %+v", got, want)
+		}
+		for _, r := range want {
+			a, errA := st.Get(r.ID)
+			b, errB := sh.Get(r.ID)
+			if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+				t.Fatalf("Get(%d): store %+v, %v; sharded %+v, %v", r.ID, a, errA, b, errB)
+			}
+		}
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dcnr/internal/obs"
 	"dcnr/internal/topology"
@@ -25,10 +24,6 @@ type Store struct {
 	mu      sync.RWMutex
 	reports []Report
 	nextID  int
-
-	// gen counts dataset mutations (Add, AddAll, ReadJSON). Result caches
-	// key on it: a bumped generation invalidates every cached aggregation.
-	gen atomic.Uint64
 
 	// byID maps report ID → position in reports.
 	byID map[int]int
@@ -217,7 +212,6 @@ func (s *Store) Add(r Report) (int, error) {
 	s.nextID++
 	s.reports = append(s.reports, r)
 	s.indexLocked(len(s.reports) - 1)
-	s.gen.Add(1)
 	return r.ID, nil
 }
 
@@ -228,52 +222,87 @@ func (s *Store) Add(r Report) (int, error) {
 // validation or duplicate-ID error the store is left unchanged. It
 // returns the IDs in input order.
 func (s *Store) AddAll(batch []Report) ([]int, error) {
-	for i := range batch {
-		if err := batch[i].Validate(); err != nil {
-			return nil, fmt.Errorf("sev: report %d invalid: %w", batch[i].ID, err)
-		}
+	if err := validateBatch(batch); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Reject every explicit-ID collision before mutating anything.
-	seen := make(map[int]bool, len(batch))
-	for i := range batch {
-		id := batch[i].ID
-		if id == 0 {
-			continue
-		}
-		if _, taken := s.byID[id]; taken || seen[id] {
-			return nil, fmt.Errorf("sev: duplicate report ID %d in batch", id)
-		}
-		seen[id] = true
-	}
 	from := len(s.reports)
-	ids := make([]int, len(batch))
-	for i := range batch {
-		r := batch[i]
-		if r.ID == 0 {
-			// Dodge explicit IDs later in the batch: nextID always exceeds
-			// every ID already stored, but not ones still to be appended.
-			for seen[s.nextID] {
-				s.nextID++
-			}
-			r.ID = s.nextID
-			s.nextID++
-		} else if r.ID >= s.nextID {
-			s.nextID = r.ID + 1
-		}
-		ids[i] = r.ID
-		s.reports = append(s.reports, r)
+	reports, ids, err := numberBatch(s.reports, batch, &s.nextID, func(id int) bool {
+		_, taken := s.byID[id]
+		return taken
+	})
+	if err != nil {
+		return nil, err
 	}
+	s.reports = reports
 	s.indexBatchLocked(from)
-	s.gen.Add(1)
 	return ids, nil
 }
 
-// Generation returns the dataset generation: a counter bumped by every
-// successful Add, AddAll, and ReadJSON. Responses cached against a
-// generation are valid exactly while Generation still returns it.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
+// appendNumbered appends reports that are already validated and carry
+// IDs unique across the store — a Sharded shard's chunk of a batch.
+func (s *Store) appendNumbered(batch []Report) {
+	if len(batch) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	from := len(s.reports)
+	s.reports = append(s.reports, batch...)
+	s.indexBatchLocked(from)
+}
+
+// validateBatch validates every report, naming the first invalid one.
+func validateBatch(batch []Report) error {
+	for i := range batch {
+		if err := batch[i].Validate(); err != nil {
+			return fmt.Errorf("sev: report %d invalid: %w", batch[i].ID, err)
+		}
+	}
+	return nil
+}
+
+// numberBatch appends batch to dst with every ID 0 replaced by a fresh
+// ID drawn from *next, and returns the IDs in input order. An explicit ID
+// is preserved and must be neither taken nor repeated in the batch; one
+// at or past *next moves *next beyond it. Fresh IDs skip taken ones and
+// explicit ones anywhere in the batch. On a duplicate it returns an error
+// and leaves dst and *next alone.
+func numberBatch(dst, batch []Report, next *int, taken func(id int) bool) ([]Report, []int, error) {
+	seen := make(map[int]bool, len(batch))
+	for i := range batch {
+		if id := batch[i].ID; id != 0 {
+			if seen[id] || taken(id) {
+				return nil, nil, fmt.Errorf("sev: duplicate report ID %d in batch", id)
+			}
+			seen[id] = true
+		}
+	}
+	ids := make([]int, len(batch))
+	for i, r := range batch {
+		if r.ID == 0 {
+			for seen[*next] || taken(*next) {
+				*next++
+			}
+			r.ID = *next
+			*next++
+		} else if r.ID >= *next {
+			*next = r.ID + 1
+		}
+		ids[i] = r.ID
+		dst = append(dst, r)
+	}
+	return dst, ids, nil
+}
+
+// has reports whether a report with the given ID is stored.
+func (s *Store) has(id int) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.byID[id]
+	return ok
+}
 
 // Len returns the number of stored reports.
 func (s *Store) Len() int {
@@ -292,7 +321,8 @@ func (s *Store) Get(id int) (Report, error) {
 	return Report{}, fmt.Errorf("sev: no report with ID %d", id)
 }
 
-// All returns a copy of every report in ID order.
+// All returns a copy of every report in ingest order: ID order unless
+// AddAll was given explicit IDs out of order.
 func (s *Store) All() []Report {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -308,37 +338,44 @@ func (s *Store) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON replaces the store's contents with the reports decoded from r.
-// Each report is re-validated; IDs are preserved. Reports are sorted into
-// ascending ID order regardless of their order in the input, and datasets
-// containing duplicate IDs are rejected.
+// Each report is re-validated. Reports are numbered in ascending order of
+// their input ID, as one AddAll batch into an empty store would number
+// them: explicit IDs are preserved, a report with ID 0 gets a fresh one,
+// and datasets containing duplicate IDs are rejected. The store is left
+// in ascending ID order regardless of the input order.
 func (s *Store) ReadJSON(r io.Reader) error {
-	var reports []Report
-	if err := json.NewDecoder(r).Decode(&reports); err != nil {
-		return fmt.Errorf("sev: decoding dataset: %w", err)
+	reports, err := decodeDataset(r)
+	if err != nil {
+		return err
 	}
-	maxID := 0
-	seen := make(map[int]bool, len(reports))
-	for i := range reports {
-		if err := reports[i].Validate(); err != nil {
-			return fmt.Errorf("sev: report %d invalid: %w", reports[i].ID, err)
-		}
-		if seen[reports[i].ID] {
-			return fmt.Errorf("sev: duplicate report ID %d in dataset", reports[i].ID)
-		}
-		seen[reports[i].ID] = true
-		if reports[i].ID > maxID {
-			maxID = reports[i].ID
-		}
+	if err := validateBatch(reports); err != nil {
+		return err
 	}
+	nextID := 1
+	reports, _, err = numberBatch(nil, reports, &nextID, func(int) bool { return false })
+	if err != nil {
+		return err
+	}
+	// Fresh IDs break the input ID order; restore it.
 	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reports = reports
-	s.nextID = maxID + 1
+	s.nextID = nextID
 	s.resetIndexLocked(len(reports))
 	// The wholesale form of AddAll's batch path: one index build for the
 	// whole dataset instead of a sorted insert per report.
 	s.indexBatchLocked(0)
-	s.gen.Add(1)
 	return nil
+}
+
+// decodeDataset decodes a JSON array of reports and sorts it by ID, the
+// order both ReadJSON methods number a dataset in.
+func decodeDataset(r io.Reader) ([]Report, error) {
+	var reports []Report
+	if err := json.NewDecoder(r).Decode(&reports); err != nil {
+		return nil, fmt.Errorf("sev: decoding dataset: %w", err)
+	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
+	return reports, nil
 }

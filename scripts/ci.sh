@@ -18,7 +18,9 @@
 #                    p99 bound and cache hits on the repeated mix; gates
 #                    only on machine-independent invariants, never on
 #                    absolute timings
-#   9. test-health - focused race pass over the SLO engine and its wiring;
+#   9. fuzz-smoke  - every Fuzz* target fuzzed for 5s past its seed
+#                    corpus (the race and test steps only replay seeds)
+#  10. test-health - focused race pass over the SLO engine and its wiring;
 #                    on failure an elevated-run SLO report is dumped to
 #                    health_slo_failure.json for triage
 #
@@ -46,6 +48,18 @@ step apicheck make apicheck
 step race make race
 step test-obs make test-obs
 step bench-smoke ./scripts/bench.sh smoke
+
+# go test -fuzz takes one target in one package per run, so list every
+# Fuzz* target with its package first.
+fuzz_smoke() {
+	go test -list '^Fuzz' ./... |
+		awk '/^Fuzz/ { names[++n] = $1 } /^ok/ { for (i = 1; i <= n; i++) print $2, names[i]; n = 0 }' |
+		while read -r pkg name; do
+			echo "fuzz $pkg $name"
+			go test -run '^$' -fuzz "^$name\$" -fuzztime 5s "$pkg" || exit 1
+		done
+}
+step fuzz-smoke fuzz_smoke
 
 # The health gate dumps a full /slo-shaped report from an elevated run on
 # failure, so a broken alert pipeline leaves its state behind as an
