@@ -333,18 +333,21 @@ func BenchmarkSimulateIntraDC(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateBackbone runs one fixed seed, so ns/op does not depend
+// on how many iterations b.N picks.
 func BenchmarkSimulateBackbone(b *testing.B) {
+	cfg := DefaultBackboneConfig()
+	cfg.Seed = 1
+	notices := 0
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultBackboneConfig()
-		cfg.Seed = uint64(i)
 		res, err := SimulateBackbone(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			b.ReportMetric(float64(len(res.Notices)), "notices/run")
-		}
+		notices = len(res.Notices)
 	}
+	b.ReportMetric(float64(notices), "notices/run")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*notices), "ns/notice")
 }
 
 // SEV query-engine benches: the indexed store paths the per-figure

@@ -36,8 +36,9 @@ var HotAlloc = &ModuleAnalyzer{
 an allocation-free region: the gc compiler's escape analysis (re-run via
 go build -gcflags=<pkg>=-m; cached builds replay diagnostics) must report
 no "escapes to heap"/"moved to heap" inside it. Annotated in this repo:
-the DES scheduler hot path, obs.SpanRing record paths, and journal
-Lane.Record — the paths whose 0 allocs/op invariant the benchmarks gate.
+the DES scheduler hot path, obs.SpanRing record paths, journal
+Lane.Record, and the ticket text path (tickets Notice.AppendFormat and
+Parse) — the paths whose 0 allocs/op invariant benchmarks or tests check.
 Intentional cold-path allocations take //lint:allow hotalloc on the line.
 Runs behind dcnrlint -hot / make lint-hot because it shells out to the
 compiler. Example fixture: internal/analyzers/testdata/hotallocmod/`,

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"dcnr/internal/des"
 	"dcnr/internal/observe"
@@ -62,7 +63,7 @@ var continentNames = [numContinents]string{
 // String returns the continent's display name.
 func (c Continent) String() string {
 	if c < 0 || int(c) >= numContinents {
-		return fmt.Sprintf("Continent(%d)", int(c))
+		return "Continent(" + strconv.Itoa(int(c)) + ")"
 	}
 	return continentNames[c]
 }

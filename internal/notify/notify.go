@@ -8,11 +8,13 @@
 // single period; message lines that begin with a period are dot-stuffed as
 // in SMTP. After each message the server replies with one status line:
 // "OK" when its handler accepted the message, or "ERR <reason>". The client
-// fails fast on ERR.
+// fails fast on ERR. A message longer than MaxMessageBytes is refused
+// with "ERR message too large", and the server closes the connection.
 package notify
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -21,6 +23,14 @@ import (
 	"sync"
 	"time"
 )
+
+// MaxMessageBytes bounds one message as the handler receives it, after
+// dot-stuffing is undone and line endings are normalized. A server
+// answers a longer message with "ERR message too large" and closes the
+// connection.
+const MaxMessageBytes = 64 << 10
+
+var errTooLarge = errors.New("message too large")
 
 // Handler processes one received message. Returning an error rejects the
 // message: the sender sees an ERR status.
@@ -126,37 +136,72 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	var msg strings.Builder
+	var msg []byte
 	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
+		var err error
+		msg, err = readMessage(br, msg)
+		var status string
+		switch {
+		case err == nil:
+			status = s.deliver(msg)
+		case errors.Is(err, errTooLarge):
+			status = "ERR " + err.Error()
+		default:
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
-		switch {
-		case line == ".":
-			status := "OK"
-			if err := s.handler(msg.String()); err != nil {
-				status = "ERR " + strings.ReplaceAll(err.Error(), "\n", " ")
-			} else {
-				s.mu.Lock()
-				s.received++
-				s.mu.Unlock()
+		if _, werr := bw.WriteString(status + "\n"); werr != nil {
+			return
+		}
+		if ferr := bw.Flush(); ferr != nil || err != nil {
+			return // a refused message ends the connection
+		}
+	}
+}
+
+// deliver hands one message to the handler and returns the status line to
+// reply with.
+func (s *Server) deliver(msg []byte) string {
+	if err := s.handler(string(msg)); err != nil {
+		return "ERR " + strings.ReplaceAll(err.Error(), "\n", " ")
+	}
+	s.mu.Lock()
+	s.received++
+	s.mu.Unlock()
+	return "OK"
+}
+
+// readMessage reads one message from br into msg[:0], up to but not
+// including its terminating "." line, undoing dot-stuffing and ending
+// every line with a single '\n'. It never holds more than
+// MaxMessageBytes of message plus one line's framing (a stuffing dot and
+// "\r\n"): a message that would need more is errTooLarge.
+func readMessage(br *bufio.Reader, msg []byte) ([]byte, error) {
+	msg = msg[:0]
+	for {
+		start := len(msg)
+		for {
+			frag, err := br.ReadSlice('\n')
+			if len(msg)+len(frag) > MaxMessageBytes+len(".\r\n") {
+				return msg, errTooLarge
 			}
-			msg.Reset()
-			if _, err := bw.WriteString(status + "\n"); err != nil {
-				return
+			msg = append(msg, frag...)
+			if err == nil {
+				break
 			}
-			if err := bw.Flush(); err != nil {
-				return
+			if err != bufio.ErrBufferFull {
+				return msg, err
 			}
-		case strings.HasPrefix(line, ".."):
-			// Undo dot-stuffing.
-			msg.WriteString(line[1:])
-			msg.WriteByte('\n')
-		default:
-			msg.WriteString(line)
-			msg.WriteByte('\n')
+		}
+		line := bytes.TrimRight(msg[start:], "\r\n")
+		if len(line) == 1 && line[0] == '.' {
+			return msg[:start], nil
+		}
+		if bytes.HasPrefix(line, []byte("..")) {
+			line = line[1:] // undo dot-stuffing
+		}
+		msg = append(append(msg[:start], line...), '\n')
+		if len(msg) > MaxMessageBytes {
+			return msg, errTooLarge
 		}
 	}
 }

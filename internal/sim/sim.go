@@ -180,10 +180,14 @@ func Backbone(cfg backbone.Config) (*BackboneResult, error) {
 	// Validate normalized Months, so the window is exactly the simulated
 	// one.
 	coll.WindowHours = cfg.WindowHours()
+	var buf []byte
 	for _, n := range notices {
 		// Round-trip through the wire format: what the analysis sees is
-		// what a parser recovered, not the generator's structs.
-		parsed, err := tickets.Parse(n.Format())
+		// what a parser recovered, not the generator's structs. The
+		// parsed fields share the string's memory, so each notice gets
+		// its own copy of the reused buffer.
+		buf = n.AppendFormat(buf[:0])
+		parsed, err := tickets.Parse(string(buf))
 		if err != nil {
 			return nil, fmt.Errorf("dcnr: ticket round trip: %w", err)
 		}

@@ -55,21 +55,36 @@ type Notice struct {
 }
 
 // Format renders the notice in the structured-email form vendors send.
-func (n Notice) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ticket-ID: %s\n", n.TicketID)
-	fmt.Fprintf(&b, "Vendor: %s\n", n.Vendor)
-	fmt.Fprintf(&b, "Link: %s\n", n.Link)
-	fmt.Fprintf(&b, "Circuit: %s\n", n.Circuit)
-	fmt.Fprintf(&b, "Edge: %s\n", n.Edge)
-	fmt.Fprintf(&b, "Continent: %s\n", n.Continent)
-	fmt.Fprintf(&b, "Event: %s\n", n.Event)
-	fmt.Fprintf(&b, "At-Hours: %.4f\n", n.AtHours)
+func (n Notice) Format() string { return string(n.AppendFormat(make([]byte, 0, 256))) }
+
+// AppendFormat appends the notice's structured-email form, exactly the
+// bytes Format returns, to b and returns the extended buffer.
+//
+//hot:noalloc
+func (n Notice) AppendFormat(b []byte) []byte {
+	b = append(b, "Ticket-ID: "...)
+	b = append(b, n.TicketID...)
+	b = append(b, "\nVendor: "...)
+	b = append(b, n.Vendor...)
+	b = append(b, "\nLink: "...)
+	b = append(b, n.Link...)
+	b = append(b, "\nCircuit: "...)
+	b = append(b, n.Circuit...)
+	b = append(b, "\nEdge: "...)
+	b = append(b, n.Edge...)
+	b = append(b, "\nContinent: "...)
+	b = append(b, n.Continent.String()...)
+	b = append(b, "\nEvent: "...)
+	b = append(b, n.Event...)
+	b = append(b, "\nAt-Hours: "...)
+	b = strconv.AppendFloat(b, n.AtHours, 'f', 4, 64)
 	if n.Event == RepairStart {
-		fmt.Fprintf(&b, "Estimated-Hours: %.4f\n", n.EstimatedHours)
+		b = append(b, "\nEstimated-Hours: "...)
+		b = strconv.AppendFloat(b, n.EstimatedHours, 'f', 4, 64)
 	}
-	fmt.Fprintf(&b, "Maintenance: %t\n", n.Maintenance)
-	return b.String()
+	b = append(b, "\nMaintenance: "...)
+	b = strconv.AppendBool(b, n.Maintenance)
+	return append(b, '\n')
 }
 
 // continentByName inverts backbone.Continent.String for parsing.
@@ -81,39 +96,75 @@ var continentByName = func() map[string]backbone.Continent {
 	return m
 }()
 
+// requiredHeaders lists the headers every notice must carry; Parse tracks
+// them as one bit each, in this order.
+var requiredHeaders = [...]string{"Ticket-ID", "Vendor", "Link", "Edge", "Event", "At-Hours"}
+
+const (
+	hasTicketID uint8 = 1 << iota
+	hasVendor
+	hasLink
+	hasEdge
+	hasEvent
+	hasAtHours
+	hasRequired = 1<<len(requiredHeaders) - 1
+)
+
+// errLineTooLong rejects a notice line that bufio.Scanner's default
+// token limit would not hold.
+var errLineTooLong = fmt.Errorf("tickets: reading notice: %w", bufio.ErrTooLong)
+
 // Parse decodes one notice from its structured-email form. Unknown header
 // keys are ignored (vendors add noise); missing required keys are errors.
+// A line, counted without its '\n' but with any '\r', must be shorter
+// than bufio.MaxScanTokenSize (64 KiB): that bounds the size of ticket
+// text, and a longer line is an error wrapping bufio.ErrTooLong. The
+// strings in the returned Notice are substrings of text and share its
+// memory.
+//
+//hot:noalloc
 func Parse(text string) (Notice, error) {
 	n := Notice{AtHours: -1}
-	seen := map[string]bool{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	var seen uint8
+	for rest := text; rest != ""; {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if len(line) >= bufio.MaxScanTokenSize {
+			return Notice{}, errLineTooLong
+		}
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		key, value, ok := strings.Cut(line, ":")
 		if !ok {
-			return Notice{}, fmt.Errorf("tickets: malformed line %q", line)
+			return Notice{}, fmt.Errorf("tickets: malformed line %q", line) //lint:allow hotalloc error path
 		}
 		key = strings.TrimSpace(key)
 		value = strings.TrimSpace(value)
-		seen[key] = true
 		switch key {
 		case "Ticket-ID":
 			n.TicketID = value
+			seen |= hasTicketID
 		case "Vendor":
 			n.Vendor = value
+			seen |= hasVendor
 		case "Link":
 			n.Link = value
+			seen |= hasLink
 		case "Circuit":
 			n.Circuit = value
 		case "Edge":
 			n.Edge = value
+			seen |= hasEdge
 		case "Continent":
 			c, ok := continentByName[value]
 			if !ok {
-				return Notice{}, fmt.Errorf("tickets: unknown continent %q", value)
+				return Notice{}, fmt.Errorf("tickets: unknown continent %q", value) //lint:allow hotalloc error path
 			}
 			n.Continent = c
 		case "Event":
@@ -121,34 +172,40 @@ func Parse(text string) (Notice, error) {
 			case RepairStart, RepairComplete:
 				n.Event = EventType(value)
 			default:
-				return Notice{}, fmt.Errorf("tickets: unknown event %q", value)
+				return Notice{}, fmt.Errorf("tickets: unknown event %q", value) //lint:allow hotalloc error path
 			}
+			seen |= hasEvent
 		case "At-Hours":
 			f, err := strconv.ParseFloat(value, 64)
 			if err != nil || f < 0 {
-				return Notice{}, fmt.Errorf("tickets: bad At-Hours %q", value)
+				return Notice{}, fmt.Errorf("tickets: bad At-Hours %q", value) //lint:allow hotalloc error path
 			}
 			n.AtHours = f
+			seen |= hasAtHours
 		case "Estimated-Hours":
 			f, err := strconv.ParseFloat(value, 64)
 			if err != nil {
-				return Notice{}, fmt.Errorf("tickets: bad Estimated-Hours %q", value)
+				return Notice{}, fmt.Errorf("tickets: bad Estimated-Hours %q", value) //lint:allow hotalloc error path
 			}
 			n.EstimatedHours = f
 		case "Maintenance":
-			b, err := strconv.ParseBool(value)
-			if err != nil {
-				return Notice{}, fmt.Errorf("tickets: bad Maintenance %q", value)
+			// The spellings strconv.ParseBool accepts; its error path
+			// would allocate here.
+			switch value {
+			case "1", "t", "T", "true", "TRUE", "True":
+				n.Maintenance = true
+			case "0", "f", "F", "false", "FALSE", "False":
+				n.Maintenance = false
+			default:
+				return Notice{}, fmt.Errorf("tickets: bad Maintenance %q", value) //lint:allow hotalloc error path
 			}
-			n.Maintenance = b
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return Notice{}, fmt.Errorf("tickets: reading notice: %w", err)
-	}
-	for _, req := range []string{"Ticket-ID", "Vendor", "Link", "Edge", "Event", "At-Hours"} {
-		if !seen[req] {
-			return Notice{}, fmt.Errorf("tickets: missing required header %s", req)
+	if seen != hasRequired {
+		for i, name := range requiredHeaders {
+			if seen&(1<<i) == 0 {
+				return Notice{}, fmt.Errorf("tickets: missing required header %s", name) //lint:allow hotalloc error path
+			}
 		}
 	}
 	return n, nil
@@ -293,10 +350,13 @@ func (c *Collector) Downtimes() []Downtime {
 }
 
 // WriteAll formats notices to w separated by blank lines — the mbox-like
-// archive format used by cmd/backbonegen.
+// archive format used by cmd/backbonegen. It formats every notice into
+// one reused buffer.
 func WriteAll(w io.Writer, notices []Notice) error {
+	buf := make([]byte, 0, 512)
 	for _, n := range notices {
-		if _, err := io.WriteString(w, n.Format()+"\n"); err != nil {
+		buf = append(n.AppendFormat(buf[:0]), '\n')
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,10 @@
 package tickets
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -68,6 +71,19 @@ func TestParseErrors(t *testing.T) {
 	for name, text := range cases {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestParseMaintenanceSpellings checks Parse's Maintenance values against
+// refParse's strconv.ParseBool.
+func TestParseMaintenanceSpellings(t *testing.T) {
+	base := strings.Replace(sampleNotice().Format(), "Maintenance: true", "Maintenance: ", 1)
+	for _, v := range []string{"1", "t", "T", "true", "TRUE", "True", "0", "f", "F", "false", "FALSE", "False", "", "tRUE", "yes", "2", "+1"} {
+		got, err := Parse(base + v)
+		want, refErr := refParse(base + v)
+		if (err == nil) != (refErr == nil) || got.Maintenance != want.Maintenance {
+			t.Errorf("Maintenance %q: Parse (%v, %v), refParse (%v, %v)", v, got.Maintenance, err, want.Maintenance, refErr)
 		}
 	}
 }
@@ -247,11 +263,102 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestParseLineBound pins the 64 KiB line bound at its edge: a line,
+// counted without its '\n', must be shorter than bufio.MaxScanTokenSize,
+// whatever ends it. Parse and refParse agree on every cell, and the cells
+// on both sides of the bound are exercised.
+func TestParseLineBound(t *testing.T) {
+	head := "Ticket-ID: TKT-1\nVendor: v\nLink: l\nEdge: e\nEvent: REPAIR_START\nAt-Hours: 1\n"
+	endings := map[string]string{"LF": "\n", "CRLF": "\r\n", "EOF": ""}
+	for name, end := range endings {
+		for size := bufio.MaxScanTokenSize - 3; size <= bufio.MaxScanTokenSize+1; size++ {
+			// An unknown header padded to size bytes, counting any '\r'.
+			line := "X-Pad: " + strings.Repeat("p", size-len("X-Pad: ")-len(strings.TrimSuffix(end, "\n")))
+			text := head + line + end
+			_, err := Parse(text)
+			_, refErr := refParse(text)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s, line %d bytes: Parse error %v, refParse error %v", name, size, err, refErr)
+			}
+			wantOK := size < bufio.MaxScanTokenSize
+			if (err == nil) != wantOK {
+				t.Errorf("%s, line %d bytes: error %v, want accepted=%v", name, size, err, wantOK)
+			}
+			if err != nil && !errors.Is(err, bufio.ErrTooLong) {
+				t.Errorf("%s, line %d bytes: error %v does not wrap bufio.ErrTooLong", name, size, err)
+			}
+		}
+	}
+}
+
+func TestParseAllocs(t *testing.T) {
+	text := sampleNotice().Format()
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(text); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Parse: %v allocs, want 0", got)
+	}
+}
+
+func TestAppendFormatAllocs(t *testing.T) {
+	n := sampleNotice()
+	buf := make([]byte, 0, 1024)
+	if got := testing.AllocsPerRun(100, func() { buf = n.AppendFormat(buf[:0]) }); got != 0 {
+		t.Errorf("AppendFormat: %v allocs, want 0", got)
+	}
+}
+
+// TestWriteAllAllocs checks that WriteAll's allocations do not grow with
+// the number of notices: it formats into one reused buffer.
+func TestWriteAllAllocs(t *testing.T) {
+	allocs := func(count int) float64 {
+		notices := make([]Notice, count)
+		for i := range notices {
+			notices[i] = sampleNotice()
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := WriteAll(io.Discard, notices); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(1000)
+	if many > one {
+		t.Errorf("WriteAll: %v allocs for 1000 notices, %v for 1; want a constant", many, one)
+	}
+}
+
+// formatSink keeps BenchmarkFormat's result live.
+var formatSink string
+
+func BenchmarkFormat(b *testing.B) {
+	n := sampleNotice()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		formatSink = n.Format()
+	}
+}
+
 func BenchmarkParse(b *testing.B) {
 	text := sampleNotice().Format()
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteAll(b *testing.B) {
+	notices := make([]Notice, 1000)
+	for i := range notices {
+		notices[i] = sampleNotice()
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteAll(io.Discard, notices); err != nil {
 			b.Fatal(err)
 		}
 	}
